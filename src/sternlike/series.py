@@ -16,8 +16,16 @@ Comparisons only ever look at exponents both operands are sound for;
 asking beyond that is a harness bug, not a silent pass.
 
 All coefficient arithmetic is exact; division refuses to leave the
-integers.  The named checks verify relations between the generating series
-of the stern/twisted presets and report the first bad exponent on failure.
+integers.  Multiplication is Kronecker substitution: both operands are
+packed into one integer each and multiplied once by CPython's bigint
+multiply.  Division by a series whose lowest nonzero coefficient is +-1
+(the stern series among them) multiplies by the inverse from Newton
+iteration; any other denominator goes through exact long division, which
+raises DivisionError at the first step that leaves the integers.  Results
+and the order rules above do not depend on which algorithm ran.
+
+The named checks verify relations between the generating series of the
+stern/twisted presets and report the first bad exponent on failure.
 """
 
 from __future__ import annotations
@@ -158,23 +166,64 @@ def mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     order = min(f.order + g.val, g.order + f.val)
     if order <= val:
         raise RangeError("product has no sound exponent range")
-    # iterate over the sparser operand and skip zero coefficients
-    if len(f.coeffs) > len(g.coeffs):
-        f, g = g, f
-    out = [0] * (order - val)
-    width = len(out)
-    for i, fc in enumerate(f.coeffs):
-        if not fc:
-            continue
-        base = f.val + i + g.val - val
-        if base >= width:
-            break
-        stop = min(len(g.coeffs), width - base)
-        for j in range(stop):
-            gc = g.coeffs[j]
-            if gc:
-                out[base + j] += fc * gc
-    return LaurentSeries(val, tuple(out))
+    return LaurentSeries(val, tuple(_kronecker(f.coeffs, g.coeffs, order - val)))
+
+
+def _kronecker(a, b, n: int) -> list[int]:
+    """First n coefficients of the product of coefficient sequences a and b.
+
+    Kronecker substitution: each operand becomes one integer with a w-byte
+    slot per coefficient, so one bigint product holds every convolution sum
+    in its own slot.  A slot fits the largest possible |sum| plus a sign
+    bit, so slots never spill into each other.  Adding half a slot to each
+    of the n wanted slots makes them all nonnegative, and the bias comes
+    off again as each slot is cut out.
+    """
+    a, b = a[:n], b[:n]
+    bound = max(map(abs, a)) * max(map(abs, b))
+    if not bound:
+        return [0] * n
+    bound *= min(len(a), len(b))
+    w = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * w - 1)
+    bias = int.from_bytes(half.to_bytes(w, "little") * n, "little")
+    buf = ((_pack(a, w) * _pack(b, w) + bias) & ((1 << (8 * w * n)) - 1)).to_bytes(
+        w * n, "little")
+    return [int.from_bytes(buf[i:i + w], "little") - half for i in range(0, w * n, w)]
+
+
+def _pack(coeffs, w: int) -> int:
+    """Sum of coeffs[i] * 2^(8*w*i), built exactly by merging neighbours.
+
+    Plain integer additions keep negative coefficients exact, where
+    concatenated two's-complement slots would not: a negative slot borrows
+    from the one above it.
+    """
+    packed = list(coeffs)
+    shift = 8 * w
+    while len(packed) > 1:
+        if len(packed) % 2:
+            packed.append(0)
+        pairs = iter(packed)
+        packed = [lo + (hi << shift) for lo, hi in zip(pairs, pairs)]
+        shift *= 2
+    return packed[0]
+
+
+def _inverse(d, m: int) -> list[int]:
+    """First m coefficients of 1/d for a power series d with d[0] = +-1.
+
+    Newton iteration g <- g + g*(1 - d*g): each step doubles the number of
+    correct coefficients, and since d*g = 1 + X^p*h the step only needs h.
+    """
+    g = [d[0]]
+    p = 1
+    while p < m:
+        q = min(2 * p, m)
+        h = _kronecker(d[:q], g, q)[p:]
+        g.extend(-c for c in _kronecker(g, h, q - p))
+        p = q
+    return g
 
 
 def scale(f: LaurentSeries, k: int) -> LaurentSeries:
@@ -234,6 +283,12 @@ def divide(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
     if q_order <= q_val:
         raise DivisionError("quotient has no sound exponent range")
     lead = den.coefficient(vd)
+    if lead in (1, -1):
+        # num/den = (num/X^vn) * (den/X^vd)^-1 * X^q_val, and the inverse is
+        # integral; only q_order - q_val terms of each factor are sound
+        m = q_order - q_val
+        inverse = _inverse(den.coeffs[vd - den.val:], m)
+        return LaurentSeries(q_val, tuple(_kronecker(num.coeffs[vn - num.val:], inverse, m)))
     rem = {e: num.coefficient(e) for e in range(vn, num.order)}
     out = []
     for k in range(q_val, q_order):
@@ -253,10 +308,21 @@ def divide(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
 
 def first_mismatch(f: LaurentSeries, g: LaurentSeries) -> int | None:
     """Smallest exponent where f and g differ, over the shared sound range."""
+    if f.val > g.val:
+        f, g = g, f
     order = min(f.order, g.order)
-    for e in range(min(f.val, g.val), order):
-        if f.coefficient(e) != g.coefficient(e):
-            return e
+    split = min(g.val, order)
+    # below g.val, g is exactly zero
+    for i, coeff in enumerate(f.coeffs[:split - f.val]):
+        if coeff:
+            return f.val + i
+    if split < order:
+        fs = f.coeffs[split - f.val:order - f.val]
+        gs = g.coeffs[:order - g.val]
+        if fs != gs:
+            for i, (fc, gc) in enumerate(zip(fs, gs)):
+                if fc != gc:
+                    return split + i
     return None
 
 
@@ -423,7 +489,18 @@ def _check_bconj3(e_max: int, order: int) -> CheckReport:
                        {"b_prefix": b.coeffs[:8]})
 
 
-CHECK_NAMES = ("sum_s", "carlitz", "coons_lemma8", "bconj1", "bconj2", "bconj3")
+# name -> (runner(order, e_max), default order, default e_max); carlitz has
+# no levels and coons_lemma8's order follows from its e_max
+_CHECKS = {
+    "sum_s": (lambda order, e_max: _check_sum_s(e_max, order), 1024, 5),
+    "carlitz": (lambda order, e_max: _check_carlitz(order), 1024, None),
+    "coons_lemma8": (lambda order, e_max: _check_coons_lemma8(e_max), None, 5),
+    "bconj1": (lambda order, e_max: _check_bconj1(e_max, order), 256, 5),
+    "bconj2": (lambda order, e_max: _check_bconj2(e_max, order), 256, 5),
+    "bconj3": (lambda order, e_max: _check_bconj3(e_max, order), 256, 5),
+}
+
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def check_named(name: str, order: int | None = None, e_max: int | None = None) -> CheckReport:
@@ -431,18 +508,10 @@ def check_named(name: str, order: int | None = None, e_max: int | None = None) -
 
     `order` is the truncation order M; `e_max` is the top scale level E
     (for coons_lemma8 it is the top product length K).  Defaults: order 256,
-    e_max 5, and order 1024 for carlitz.
+    e_max 5, and order 1024 for carlitz and sum_s.
     """
-    if name == "sum_s":
-        return _check_sum_s(5 if e_max is None else e_max, 1024 if order is None else order)
-    if name == "carlitz":
-        return _check_carlitz(1024 if order is None else order)
-    if name == "coons_lemma8":
-        return _check_coons_lemma8(5 if e_max is None else e_max)
-    if name == "bconj1":
-        return _check_bconj1(5 if e_max is None else e_max, 256 if order is None else order)
-    if name == "bconj2":
-        return _check_bconj2(5 if e_max is None else e_max, 256 if order is None else order)
-    if name == "bconj3":
-        return _check_bconj3(5 if e_max is None else e_max, 256 if order is None else order)
-    raise UnknownCheckError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+    if name not in _CHECKS:
+        raise UnknownCheckError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+    run, default_order, default_e_max = _CHECKS[name]
+    return run(default_order if order is None else order,
+               default_e_max if e_max is None else e_max)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sternlike import (DivisionError, RangeError, UnknownCheckError, add,
                        check_named, compose_power, divide, first_mismatch,
@@ -16,6 +18,46 @@ from conftest import STERN_TERMS
 def _random_series(rng, order=24, low=-4):
     val = rng.randint(low, 2)
     return LaurentSeries(val, tuple(rng.randint(-9, 9) for _ in range(order - val)))
+
+
+def schoolbook_mul(f, g):
+    """Reference product: every coefficient pair, with mul's order bookkeeping."""
+    val = f.val + g.val
+    order = min(f.order + g.val, g.order + f.val)
+    if order <= val:
+        raise RangeError("product has no sound exponent range")
+    out = [0] * (order - val)
+    for i, fc in enumerate(f.coeffs[:len(out)]):
+        for j, gc in enumerate(g.coeffs[:len(out) - i]):
+            out[i + j] += fc * gc
+    return LaurentSeries(val, tuple(out))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DivisionError as exc:
+        return type(exc), str(exc)
+
+
+_HUGE = st.tuples(st.sampled_from((1, -1)), st.integers(10**300, 10**320)).map(
+    lambda t: t[0] * t[1])
+_COEFF = st.one_of(st.integers(-9, 9), st.integers(-2**64, 2**64), _HUGE)
+_ZEROS = st.lists(st.just(0), min_size=1, max_size=40)
+_COEFFS = st.one_of(st.lists(_COEFF, min_size=1, max_size=40), _ZEROS)
+
+
+def _series(coeffs=_COEFFS):
+    return st.builds(LaurentSeries, st.integers(-8, 8), coeffs.map(tuple))
+
+
+@st.composite
+def _unit_lead_series(draw):
+    """A series whose lowest nonzero coefficient is +-1, after some zeros."""
+    zeros = draw(st.integers(0, 3))
+    lead = draw(st.sampled_from((1, -1)))
+    tail = draw(st.lists(_COEFF, max_size=30))
+    return LaurentSeries(draw(st.integers(-8, 8)), (0,) * zeros + (lead, *tail))
 
 
 def test_sequence_series_examples():
@@ -169,3 +211,69 @@ def test_first_mismatch_reports_smallest_exponent():
     g = from_coeffs([1, 2, 4, 9])
     assert first_mismatch(f, g) == 2
     assert first_mismatch(f, from_coeffs([1, 2, 3, 7])) is None
+
+
+@settings(deadline=None)
+@given(_series(), _series())
+@example(LaurentSeries(-3, (7,)), LaurentSeries(2, (0, 0, 0)))
+@example(LaurentSeries(0, (-(10**300),) * 3), LaurentSeries(-1, (10**301, -1, 0, 10**300)))
+def test_mul_matches_schoolbook(f, g):
+    assert mul(f, g) == schoolbook_mul(f, g)
+
+
+@settings(deadline=None)
+@given(_series(), st.one_of(_unit_lead_series(), _series(_ZEROS)))
+def test_unit_lead_divide_matches_long_division(num, den):
+    # doubling both operands gives a lead of +-2, which divide can only
+    # handle by long division; every step stays exact, so the quotient and
+    # every error are the same
+    assert _outcome(divide, num, den) == _outcome(divide, scale(num, 2), scale(den, 2))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_divide_inverts_mul_for_unit_leads(data):
+    coeffs = data.draw(st.lists(_COEFF, min_size=1, max_size=30))
+    head = data.draw(_COEFF.filter(bool))
+    q = LaurentSeries(data.draw(st.integers(0, 8)), (head, *coeffs))
+    # den stored from its lead and at least as long as q, so that the
+    # quotient's sound range is exactly q's
+    lead = data.draw(st.sampled_from((1, -1)))
+    tail = data.draw(st.lists(_COEFF, min_size=len(q.coeffs) - 1, max_size=40))
+    d = LaurentSeries(data.draw(st.integers(-8, 8)), (lead, *tail))
+    assert divide(mul(q, d), d) == q
+
+
+def test_non_unit_lead_divide_keeps_exactness_error():
+    with pytest.raises(DivisionError, match=r"^division step at X\^1 is not exact over the integers$"):
+        divide(from_coeffs([2, 1, 0]), from_coeffs([2, 0, 0]))
+
+
+@given(_series(), st.integers(-4, 4), st.integers(1, 48), st.integers(0, 47), st.integers(-1, 1))
+@example(LaurentSeries(3, (1,)), -3, 2, 0, 0)
+@example(LaurentSeries(-2, (0, 5, 1)), 2, 4, 0, 0)
+def test_first_mismatch_matches_coefficient_scan(f, dval, length, at, delta):
+    # g copies f (zeros past f's order) from another valuation, with one
+    # coefficient moved by delta
+    val = f.val + dval
+    coeffs = [f.coefficient(e) if e < f.order else 0 for e in range(val, val + length)]
+    coeffs[at % length] += delta
+    g = LaurentSeries(val, tuple(coeffs))
+    shared = range(min(f.val, g.val), min(f.order, g.order))
+    expected = next((e for e in shared if f.coefficient(e) != g.coefficient(e)), None)
+    assert first_mismatch(f, g) == expected
+    assert first_mismatch(g, f) == expected
+
+
+def test_check_carlitz_order_2_16():
+    assert check_named("carlitz", order=1 << 16).holds
+
+
+def test_check_sum_s_order_2_16():
+    assert check_named("sum_s", e_max=8, order=1 << 16).holds
+
+
+def test_check_bconj1_order_2_14():
+    report = check_named("bconj1", order=1 << 14)
+    assert report.holds
+    assert report.artifacts["u_prefix"][:4] == (1, 0, -2, 0)
