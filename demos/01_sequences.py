@@ -31,7 +31,7 @@ for n in (5, 6, 7):
           f"s({2*n+1}) = s({n}) + s({n+1}) = {eval_direct(s, 2*n+1)}")
 
 print()
-print("== deep single terms are cheap (pair recursion is O(log n)) ==")
+print("== deep single terms are cheap (an O(log n) bit descent, no memo) ==")
 for n in (10**6 + 1, 2**40 + 7):
     print(f"s({n}) = {eval_direct(s, n)}")
 

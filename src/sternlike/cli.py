@@ -13,8 +13,8 @@ from dataclasses import replace
 
 from . import identities, linrep, oeis, series, tm_oracle
 from .errors import SternlikeError
-from .recurrence import (PRESET_NAMES, SternLikeSpec, evaluator, load_spec_file,
-                         preset, resolve_preset_name)
+from .recurrence import (PRESET_NAMES, SternLikeSpec, eval_direct, load_spec_file,
+                         prefix, preset, resolve_preset_name)
 
 __all__ = ["main"]
 
@@ -32,7 +32,7 @@ def _resolve_sequence(target: str) -> SternLikeSpec:
 def _cmd_eval(args) -> int:
     spec = _resolve_sequence(args.sequence)
     if args.direct:
-        value = evaluator(spec)(args.n)
+        value = eval_direct(spec, args.n)
     else:
         value = linrep.eval_fast(spec, args.n)
     print(value)
@@ -44,11 +44,9 @@ def _cmd_table(args) -> int:
     if args.format == "bfile":
         sys.stdout.write(oeis.write_bfile(spec, getattr(args, "from"), args.to))
     else:
-        value = evaluator(spec)
-        start = max(getattr(args, "from"), spec.output_min_index, 0)
         print("n,value")
-        for n in range(start, args.to + 1):
-            print(f"{n},{value(n)}")
+        for n, v in oeis.table_rows(spec, getattr(args, "from"), args.to):
+            print(f"{n},{v}")
     return 0
 
 
@@ -106,11 +104,10 @@ def _cmd_series(args) -> int:
 def _cmd_oracle_tm(args) -> int:
     report = tm_oracle.verify_y_preset(args.ell_max)
     bad_lengths = {m[0] for m in report.mismatches}
-    spec = preset("tm_complexity_shift")
-    value = evaluator(spec)
+    values = prefix(preset("tm_complexity_shift"), report.ell_max - 1)
     for ell in range(1, report.ell_max + 1):
         ok = ell not in bad_lengths and ell not in report.unsaturated
-        print(f"ell={ell} recurrence={value(ell - 1)} ok={str(ok).lower()}")
+        print(f"ell={ell} recurrence={values[ell - 1]} ok={str(ok).lower()}")
     print(report.summary(), file=sys.stderr)
     return 0 if report.ok else 1
 
@@ -153,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--direct", action="store_true",
-                      help="memoized recurrence instead of the matrix path")
+                      help="descent through the recurrence instead of the matrix path")
     mode.add_argument("--fast", action="store_true", help="matrix path (default)")
     p.set_defaults(func=_cmd_eval)
 

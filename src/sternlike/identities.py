@@ -25,14 +25,15 @@ discrepancy report runs both and says which survive.
 
 from __future__ import annotations
 
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, ParseError, UnknownIdentityError
-from .linrep import coeff_at
-from .recurrence import SternLikeSpec, evaluator, preset
+from .errors import DomainError, ParseError, RangeError, UnknownIdentityError
+from .linrep import CoeffTable, coeff_at, coeff_table
+from .recurrence import SternLikeSpec, _term_lookup, preset
 
 __all__ = [
     "Lit", "Var", "Add", "Sub", "Mul", "Pow", "Term", "Coeff",
@@ -139,11 +140,25 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Bounds the parser's recursion and the AST's depth (to twice this): the AST
+# passes and the Python compiler of the generated lambda fail far deeper.
+_MAX_DEPTH = 50
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
+
+    def deeper(self) -> int:
+        """Count one more nesting level or chained operator; returns the old depth."""
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {_MAX_DEPTH} levels",
+                             self.peek()[2])
+        return self.depth - 1
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -161,6 +176,7 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> Node:
+        outer = self.deeper()
         if self.peek()[:2] == ("op", "-"):
             self.next()
             node: Node = Sub(Lit(0), self.parse_term())
@@ -168,15 +184,20 @@ class _Parser:
             node = self.parse_term()
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             op = self.next()[1]
+            self.deeper()
             rhs = self.parse_term()
             node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+        self.depth = outer
         return node
 
     def parse_term(self) -> Node:
+        outer = self.depth
         node = self.parse_factor()
         while self.peek()[:2] == ("op", "*"):
             self.next()
+            self.deeper()
             node = Mul(node, self.parse_factor())
+        self.depth = outer
         return node
 
     def parse_factor(self) -> Node:
@@ -368,21 +389,10 @@ def bind_presets(identity: Identity, **overrides: SternLikeSpec) -> Identity:
 # ---------------------------------------------------------------------------
 # Compilation and evaluation
 
-_COMPILED: dict[Identity, Callable[[int, int, int], tuple[int, int]]] = {}
-
-
 def _int_pow(base: int, exp: int) -> int:
     if exp < 0:
         raise DomainError(f"exponent evaluated negative: {exp}")
     return base ** exp
-
-
-def _seq_fn(value: Callable[[int], int], label: str) -> Callable[[int], int]:
-    def fn(index: int) -> int:
-        if index < 0:
-            raise DomainError(f"index of {label}(...) evaluated negative: {index}")
-        return value(index)
-    return fn
 
 
 def _emit(node: Node, seq_slot: dict[str, str]) -> str:
@@ -403,10 +413,9 @@ def _emit(node: Node, seq_slot: dict[str, str]) -> str:
     return f"_c{node.kind}({_emit(node.e_arg, seq_slot)}, {_emit(node.r_arg, seq_slot)})"
 
 
-def _compiled(identity: Identity) -> Callable[[int, int, int], tuple[int, int]]:
-    fn = _COMPILED.get(identity)
-    if fn is not None:
-        return fn
+def _compile(identity: Identity, e: int, limit: int) -> Callable[[int, int, int], tuple[int, int]]:
+    """Both sides as one function of (e, r, n) at level e: term lookups bounded
+    by `limit`, coefficient rows up to e, and `coeff_at` (which validates) beyond."""
     bound = dict(identity.bindings)
     missing = [seq for seq in identity.seq_names if seq not in bound]
     if missing:
@@ -415,23 +424,31 @@ def _compiled(identity: Identity) -> Callable[[int, int, int], tuple[int, int]]:
     seq_slot: dict[str, str] = {}
     for i, (seq, spec) in enumerate(identity.bindings):
         seq_slot[seq] = f"_f{i}"
-        namespace[f"_f{i}"] = _seq_fn(evaluator(spec), seq)
+        namespace[f"_f{i}"] = _term_lookup(spec, limit, seq)
     if identity.uses_coeffs:
         if identity.coeff_spec is None:
             raise DomainError("identity uses A(e, r)/B(e, r) but has no coeff_spec")
-        spec = identity.coeff_spec
-        namespace["_cA"] = lambda ee, rr: coeff_at(spec, ee, rr)[0]
-        namespace["_cB"] = lambda ee, rr: coeff_at(spec, ee, rr)[1]
+        table = coeff_table(identity.coeff_spec, max(e, 0))
+        namespace["_cA"] = _coeff_reader(table, 0)
+        namespace["_cB"] = _coeff_reader(table, 1)
     source = (f"lambda e, r, n: ({_emit(identity.lhs, seq_slot)}, "
               f"{_emit(identity.rhs, seq_slot)})")
-    fn = eval(source, namespace)  # noqa: S307 - source is generated from the validated AST
-    _COMPILED[identity] = fn
-    return fn
+    return eval(source, namespace)  # noqa: S307 - source is generated from the validated AST
+
+
+def _coeff_reader(table: CoeffTable, which: int) -> Callable[[int, int], int]:
+    rows = (table.A, table.B)[which]
+
+    def coeff(e: int, r: int) -> int:
+        if 0 <= e <= table.e_max and 0 <= r < len(rows[e]):
+            return rows[e][r]
+        return coeff_at(table.spec, e, r)[which]
+    return coeff
 
 
 def check_instance(identity: Identity, e: int, r: int, n: int) -> tuple[int, int, bool]:
     """Evaluate both sides exactly at one binding of (e, r, n)."""
-    lhs, rhs = _compiled(identity)(e, r, n)
+    lhs, rhs = _compile(identity, e, 0)(e, r, n)
     return lhs, rhs, lhs == rhs
 
 
@@ -442,16 +459,14 @@ def _verify_level(identity: Identity, e: int, n_max: int) -> tuple[int, Countere
     The scan stops at the first failure; the count stays the full grid so
     verdicts are identical however levels are distributed over workers.
     """
-    fn = _compiled(identity)
     r_top = 1 << e
-    if identity.uses_n:
-        n_lo, n_hi = identity.n_min, n_max
-    else:
-        n_lo, n_hi = identity.n_min, identity.n_min
+    n_lo, n_hi = identity.n_min, (n_max if identity.uses_n else identity.n_min)
     n_count = n_hi - n_lo + 1
+    count = (r_top + 1) * max(n_count, 0)
+    # every catalog index stays below 8x the level's count (5*2^e*n + r needs 5x)
+    fn = _compile(identity, e, 8 * count)
     if n_count <= 0:
         return 0, None
-    count = (r_top + 1) * n_count
     for r in range(r_top + 1):
         for n in range(n_lo, n_hi + 1):
             lhs, rhs = fn(e, r, n)
@@ -467,13 +482,16 @@ def _level_task(args: tuple[Identity, int, int]) -> tuple[int, Counterexample | 
 def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict:
     """Exhaustively check the identity on its grid; failures become verdicts.
 
-    `jobs > 1` shards e-levels over worker processes; the reduced verdict
-    (count and lexicographically least counterexample) does not depend on
-    the worker count.
+    `jobs > 1` shards e-levels over at most min(jobs, levels, CPUs) worker
+    processes; the reduced verdict (count and lexicographically least
+    counterexample) does not depend on the worker count.
     """
+    if jobs < 1:
+        raise RangeError(f"jobs must be >= 1, got {jobs}")
     tasks = [(identity, e, n_max) for e in range(e_max + 1)]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_level_task, tasks))
     else:
         results = [_verify_level(*task) for task in tasks]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError, SingularSystemError
-from .recurrence import SternLikeSpec, evaluator
+from .recurrence import SternLikeSpec, _descent, evaluator, prefix
 
 __all__ = [
     "CoeffTable",
@@ -39,35 +39,16 @@ __all__ = [
 
 Row = tuple[int, ...]
 
-# Coefficient rows per spec, grown on demand; row e has 2^e + 1 entries.
-_LEVELS: dict[SternLikeSpec, list[tuple[Row, Row]]] = {}
-
-
-def _levels(spec: SternLikeSpec, e_max: int) -> list[tuple[Row, Row]]:
-    rows = _LEVELS.setdefault(spec, [((1, 0), (0, 1))])
-    a, b, c = spec.a, spec.b, spec.c
-    while len(rows) <= e_max:
-        prev_a, prev_b = rows[-1]
-        size = 2 * (len(prev_a) - 1) + 1
-        next_a, next_b = [0] * size, [0] * size
-        for r in range(len(prev_a)):
-            next_a[2 * r] = a * prev_a[r]
-            next_b[2 * r] = a * prev_b[r]
-            if 2 * r + 1 < size:
-                next_a[2 * r + 1] = b * prev_a[r] + c * prev_a[r + 1]
-                next_b[2 * r + 1] = b * prev_b[r] + c * prev_b[r + 1]
-        rows.append((tuple(next_a), tuple(next_b)))
-    return rows
-
 
 def coeff_at(spec: SternLikeSpec, e: int, r: int) -> tuple[int, int]:
-    """(A(e, r), B(e, r)) computed on demand (rows are cached per spec)."""
+    """(A(e, r), B(e, r)) by e descent steps on r: O(e) work, nothing cached.
+    For r = 2^e the descent ends with carry 1: v(2^e*(n+1)) = a^e*v(n+1)."""
     if e < 0:
         raise RangeError(f"e must be >= 0, got {e}")
-    row_a, row_b = _levels(spec, e)[e]
-    if not 0 <= r < len(row_a):
+    if not 0 <= r <= 1 << e:
         raise RangeError(f"r must lie in [0, 2^{e}], got {r}")
-    return row_a[r], row_b[r]
+    alpha, beta, carry = _descent(spec, r, e)
+    return (0, alpha) if carry else (alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -83,13 +64,19 @@ class CoeffTable:
 def coeff_table(spec: SternLikeSpec, e_max: int) -> CoeffTable:
     if e_max < 0:
         raise RangeError(f"e_max must be >= 0, got {e_max}")
-    rows = _levels(spec, e_max)
-    return CoeffTable(
-        spec,
-        e_max,
-        tuple(rows[e][0] for e in range(e_max + 1)),
-        tuple(rows[e][1] for e in range(e_max + 1)),
-    )
+    rows_a, rows_b = [(1, 0)], [(0, 1)]
+    for _ in range(e_max):
+        rows_a.append(_next_row(spec, rows_a[-1]))
+        rows_b.append(_next_row(spec, rows_b[-1]))
+    return CoeffTable(spec, e_max, tuple(rows_a), tuple(rows_b))
+
+
+def _next_row(spec: SternLikeSpec, row: Row) -> Row:
+    """Row e+1 from row e: entry 2r is a*row[r], entry 2r+1 is b*row[r] + c*row[r+1]."""
+    out = [0] * (2 * len(row) - 1)
+    out[0::2] = [spec.a * x for x in row]
+    out[1::2] = [spec.b * x + spec.c * y for x, y in zip(row, row[1:])]
+    return tuple(out)
 
 
 def coeffs(table: CoeffTable, e: int, r: int) -> tuple[int, int]:
@@ -121,30 +108,8 @@ def transition_matrices(spec: SternLikeSpec) -> MatrixPair:
 
 
 def eval_fast(spec: SternLikeSpec, n: int) -> int:
-    """v(n) in O(log n): peel bits down to a base index, then replay.
-
-    Bits are peeled least-significant first until the running index is at
-    most 2*n_eff; the state pair there is seeded from the direct evaluator
-    and the recorded bits are replayed most-significant first.  The cutoff
-    keeps every replayed index >= n0, where the recurrence is valid.
-    """
-    if n < 0:
-        raise DomainError(f"sequence index must be >= 0, got {n}")
-    value = evaluator(spec)
-    cutoff = 2 * spec.n_eff
-    m = n
-    bits: list[int] = []
-    while m > cutoff:
-        bits.append(m & 1)
-        m >>= 1
-    x, y = value(m), value(m + 1)
-    a, b, c = spec.a, spec.b, spec.c
-    for bit in reversed(bits):
-        if bit:
-            x, y = b * x + c * y, a * y
-        else:
-            x, y = a * x, b * x + c * y
-    return x
+    """v(n) in O(log n) by replaying its bits through the linear representation."""
+    return linear_representation(spec).evaluate(n)
 
 
 def recover_coefficients(spec: SternLikeSpec, e: int, r: int,
@@ -193,7 +158,7 @@ class LinearRepresentation:
     projection: str = "first"
 
     def evaluate(self, n: int) -> int:
-        """Replay the binary digits of n using only the exported data."""
+        """Replay n's binary digits, most-significant first, using only the exported data."""
         if n < 0:
             raise DomainError(f"sequence index must be >= 0, got {n}")
         m = n
@@ -230,6 +195,5 @@ class LinearRepresentation:
 
 
 def linear_representation(spec: SternLikeSpec) -> LinearRepresentation:
-    value = evaluator(spec)
-    states = tuple((value(k), value(k + 1)) for k in range(2 * spec.n_eff))
-    return LinearRepresentation(spec, states, transition_matrices(spec))
+    values = prefix(spec, 2 * spec.n_eff)
+    return LinearRepresentation(spec, tuple(zip(values, values[1:])), transition_matrices(spec))

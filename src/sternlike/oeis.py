@@ -14,11 +14,12 @@ import urllib.request
 from dataclasses import dataclass
 
 from .errors import BFileError, RangeError
-from .recurrence import SternLikeSpec, evaluator
+from .recurrence import SternLikeSpec, _term_lookup, eval_range
 
 __all__ = [
     "BFileTable",
     "parse_bfile",
+    "table_rows",
     "write_bfile",
     "CrosscheckReport",
     "crosscheck",
@@ -57,17 +58,18 @@ def parse_bfile(text: str, source: str = "") -> BFileTable:
     return BFileTable(tuple(records), source)
 
 
-def write_bfile(spec: SternLikeSpec, lo: int, hi: int) -> str:
-    """Render v(lo)..v(hi) in b-file format.
+def table_rows(spec: SternLikeSpec, lo: int, hi: int) -> list[tuple[int, int]]:
+    """(n, v(n)) for lo <= n <= hi, leaving out the placeholder indices below 0
+    and below the spec's output_min_index."""
+    start = max(lo, spec.output_min_index, 0)
+    return list(zip(range(start, hi + 1), eval_range(spec, start, hi))) if start <= hi else []
 
-    Indices below the spec's output_min_index are placeholders and are not
-    emitted.
-    """
+
+def write_bfile(spec: SternLikeSpec, lo: int, hi: int) -> str:
+    """Render the `table_rows` of v(lo)..v(hi) in b-file format."""
     if lo > hi:
         raise RangeError(f"empty range: lo={lo} > hi={hi}")
-    value = evaluator(spec)
-    start = max(lo, spec.output_min_index, 0)
-    return "".join(f"{n} {value(n)}\n" for n in range(start, hi + 1))
+    return "".join(f"{n} {v}\n" for n, v in table_rows(spec, lo, hi))
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,8 @@ def crosscheck(spec: SternLikeSpec, bfile: BFileTable, index_shift: int = 0) -> 
     index_shift).  Records whose sequence index falls below 0 or below the
     spec's output_min_index are skipped.
     """
-    value = evaluator(spec)
+    # sized by the job, so a sparse file with huge indices allocates little
+    value = _term_lookup(spec, 2 * len(bfile.records))
     mismatches = []
     checked = skipped = 0
     floor = max(spec.output_min_index, 0)

@@ -11,13 +11,15 @@ explicitly; every later value follows from the recurrence, because any
 m >= 2*n_eff is 2n or 2n+1 for some n >= n_eff >= n0.
 
 Everything is exact: coefficients and values are arbitrary-precision ints.
-Evaluation recurses on the pair (v(k), v(k+1)), so a single term costs
-O(log n) cached steps instead of an exponential call tree.
+`prefix` builds v(0) .. v(hi) bottom-up; `eval_direct` descends from n,
+least-significant bit first, keeping v(n) = alpha*v(m) + beta*v(m+1) with
+m = n >> k: O(log n) steps, no recursion and no memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable
 
 from .errors import DomainError, RangeError, SpecError, UnknownPresetError
@@ -29,6 +31,7 @@ __all__ = [
     "make_spec",
     "preset",
     "resolve_preset_name",
+    "prefix",
     "evaluator",
     "eval_direct",
     "eval_range",
@@ -131,68 +134,82 @@ def preset(name: str) -> SternLikeSpec:
 # Evaluation
 
 
-def _make_evaluator(spec: SternLikeSpec) -> Callable[[int], int]:
-    a, b, c = spec.a, spec.b, spec.c
-    init = spec.init
-    top = len(init)          # == 2 * n_eff
-    half = top // 2          # == n_eff
-    cache: dict[int, tuple[int, int]] = {}
+def prefix(spec: SternLikeSpec, hi: int) -> list[int]:
+    """[v(0), ..., v(hi)], built bottom-up from the initial segment."""
+    return _extend(spec, list(spec.init[:max(hi + 1, 0)]), hi + 1)
 
-    def pair(k: int) -> tuple[int, int]:
-        """(v(k), v(k+1)); every recursive step halves k."""
-        got = cache.get(k)
-        if got is not None:
-            return got
-        if k + 1 < top:
-            out = (init[k], init[k + 1])
-        elif k + 1 == top:
-            # k is the last init index; v(2*n_eff) = a * v(n_eff)
-            out = (init[k], a * init[half])
+
+def _extend(spec: SternLikeSpec, values: list[int], size: int) -> list[int]:
+    """Append v(len(values)) .. v(size - 1) to a prefix holding all of `init`."""
+    a, b, c = spec.a, spec.b, spec.c
+    append = values.append
+    for n in range(len(values), size):
+        h = n >> 1  # n >= 2*n_eff, so h >= n0
+        append(b * values[h] + c * values[h + 1] if n & 1 else a * values[h])
+    return values
+
+
+def _descent(spec: SternLikeSpec, m: int, steps: int) -> tuple[int, int, int]:
+    """(alpha, beta, k = m >> steps) with v(2^steps*x + m) = alpha*v(x+k) +
+    beta*v(x+k+1), wherever the recurrence holds at each index halved on the way."""
+    a, b, c = spec.a, spec.b, spec.c
+    alpha, beta = 1, 0
+    for _ in range(steps):
+        if m & 1:
+            alpha, beta = alpha * b, alpha * c + beta * a
         else:
-            h, bit = divmod(k, 2)
-            vh, vh1 = pair(h)
-            if bit:
-                out = (b * vh + c * vh1, a * vh1)
-            else:
-                out = (a * vh, b * vh + c * vh1)
-        cache[k] = out
-        return out
+            alpha, beta = alpha * a + beta * b, beta * c
+        m >>= 1
+    return alpha, beta, m
+
+
+def _term(spec: SternLikeSpec, n: int, table) -> int:
+    """v(n), n >= 0, by descent onto table = [v(0), ..., v(t)], t >= 2*n_eff;
+    it stops at the first m = n >> k below t, so every halved index is >= n0."""
+    top = len(table) - 1
+    steps = max(0, n.bit_length() - top.bit_length())
+    if n >> steps >= top:
+        steps += 1
+    alpha, beta, m = _descent(spec, n, steps)
+    return alpha * table[m] + beta * table[m + 1]
+
+
+def _term_lookup(spec: SternLikeSpec, limit: int, label: str = "v") -> Callable[[int], int]:
+    """v for one job: indices below `limit` come from a prefix grown on demand,
+    larger ones descend onto it; a negative index raises DomainError."""
+    values = prefix(spec, 2 * spec.n_eff)
 
     def value(n: int) -> int:
+        if 0 <= n < len(values):
+            return values[n]
         if n < 0:
-            raise DomainError(f"sequence index must be >= 0, got {n}")
-        return pair(n)[0]
+            raise DomainError(f"index of {label}(...) evaluated negative: {n}")
+        if n < limit:
+            return _extend(spec, values, min(max(n + 1, 2 * len(values)), limit))[n]
+        return _term(spec, n, values)
 
     return value
 
 
-_EVALUATORS: dict[SternLikeSpec, Callable[[int], int]] = {}
+def eval_direct(spec: SternLikeSpec, n: int) -> int:
+    """v(n) by descent onto the initial segment: O(log n) steps, no memo."""
+    if n < 0:
+        raise DomainError(f"sequence index must be >= 0, got {n}")
+    return _term(spec, n, (*spec.init, spec.a * spec.init[spec.n_eff]))
 
 
 def evaluator(spec: SternLikeSpec) -> Callable[[int], int]:
-    """Memoized term evaluator for `spec`.
-
-    Evaluators are pure caches: any number of callers (or a fresh evaluator)
-    produce identical values, so sharing one per spec is only a speed-up.
-    """
-    fn = _EVALUATORS.get(spec)
-    if fn is None:
-        fn = _EVALUATORS[spec] = _make_evaluator(spec)
-    return fn
-
-
-def eval_direct(spec: SternLikeSpec, n: int) -> int:
-    """v(n) by the recurrence itself (memoized pair recursion)."""
-    return evaluator(spec)(n)
+    """`eval_direct` bound to `spec`; it caches nothing."""
+    return partial(eval_direct, spec)
 
 
 def eval_range(spec: SternLikeSpec, lo: int, hi: int) -> list[int]:
-    """[v(lo), ..., v(hi)] inclusive."""
+    """[v(lo), ..., v(hi)] inclusive; memory is bounded by twice the range's length."""
     if lo > hi:
         raise RangeError(f"empty range: lo={lo} > hi={hi}")
     if lo < 0:
         raise DomainError(f"sequence index must be >= 0, got {lo}")
-    value = evaluator(spec)
+    value = _term_lookup(spec, min(hi + 1, 2 * (hi - lo + 1)))
     return [value(n) for n in range(lo, hi + 1)]
 
 

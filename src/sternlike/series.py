@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import DivisionError, RangeError, UnknownCheckError
-from .recurrence import SternLikeSpec, evaluator, preset
+from .recurrence import SternLikeSpec, eval_range, prefix, preset
 
 __all__ = [
     "LaurentSeries",
@@ -132,8 +132,7 @@ def sequence_series(spec: SternLikeSpec, offset: int, order: int) -> LaurentSeri
     """Sum of v(offset + n) * X^n for 0 <= n < order."""
     if order < 1:
         raise RangeError(f"order must be >= 1, got {order}")
-    value = evaluator(spec)
-    return LaurentSeries(0, tuple(value(offset + n) for n in range(order)))
+    return LaurentSeries(0, tuple(eval_range(spec, offset, offset + order - 1)))
 
 
 def add(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
@@ -387,7 +386,7 @@ def _check_sum_s(e_max: int, order: int) -> CheckReport:
     _require_depth(e_max, order)
     s = preset("stern")
     full = sequence_series(s, 0, order)
-    sval = evaluator(s)
+    sval = prefix(s, 1 << e_max)
     levels = []
     residues = {}
     for e in range(e_max + 1):
@@ -397,8 +396,8 @@ def _check_sum_s(e_max: int, order: int) -> CheckReport:
         # an exact Laurent polynomial, so padding to the target order is sound
         coeffs = [0] * (2 * p)
         for r in range(p):
-            coeffs[r] += sval(r)            # X^(r - 2^e)
-            coeffs[p + r] += sval(p - r)    # X^r
+            coeffs[r] += sval[r]            # X^(r - 2^e)
+            coeffs[p + r] += sval[p - r]    # X^r
         bracket = from_coeffs(coeffs, val=-p, order=order + 1)
         product = mul(comp, bracket)
         residues[e] = [product.coefficient(j) for j in range(product.val, 0)]
@@ -417,7 +416,7 @@ def _check_carlitz(order: int) -> CheckReport:
 
 
 def _check_coons_lemma8(k_max: int) -> CheckReport:
-    sval = evaluator(preset("stern"))
+    sval = prefix(preset("stern"), 1 << max(k_max, 0))
     levels = []
     for k in range(k_max + 1):
         top = 1 << (k + 1)
@@ -430,9 +429,9 @@ def _check_coons_lemma8(k_max: int) -> CheckReport:
             lhs = mul(lhs, from_coeffs(factor, order=top + 1))
         rhs = [0] * (top + 1)
         for n in range(1, (1 << k) + 1):
-            rhs[n] += sval(n)
+            rhs[n] += sval[n]
         for n in range(1, 1 << k):
-            rhs[n + (1 << k)] += sval((1 << k) - n)
+            rhs[n + (1 << k)] += sval[(1 << k) - n]
         levels.append(_level(k, first_mismatch(lhs, from_coeffs(rhs))))
     return CheckReport("coons_lemma8", {"k_max": k_max, "order": 1 << (k_max + 1)},
                        tuple(levels))

@@ -20,6 +20,13 @@ def test_eval(capsys):
     assert (code, out.strip()) == (0, "5")
 
 
+def test_eval_direct_deep_index(capsys):
+    n = str(2**1200 + 5)
+    direct = run(capsys, "eval", "stern", n, "--direct")
+    assert direct == (0, "3596\n", "")
+    assert direct == run(capsys, "eval", "stern", n, "--fast")
+
+
 def test_eval_spec_file(capsys, tmp_path):
     path = tmp_path / "seq.spec"
     path.write_text("a = 2\nb = 1\nc = 1\nn0 = 2\ninit = 2, 4, 6, 10\n")
@@ -74,6 +81,32 @@ def test_verify_expr_with_coefficient_references(capsys):
                        "--e-max", "4", "--n-max", "16", "--n-min", "2")
     assert code == 0
     assert "holds" in out
+
+
+def test_verify_expr_coefficients_one_level_up(capsys):
+    # e + 1 lies outside the level's coefficient rows; the lookup must still serve it
+    expr = "s(2^(e + 1)*n + r) == A(e + 1, r)*s(n) + B(e + 1, r)*s(n + 1)"
+    code, out, err = run(capsys, "verify", "--expr", expr, "--e-max", "5", "--n-max", "16")
+    assert (code, out, err) == (0, f"identity {expr}: holds checked=1173\n", "")
+
+
+def test_verify_expr_coefficient_index_out_of_range(capsys):
+    expr = "s(2^e*n + r + 1) == A(e, r + 1)*s(n) + B(e, r + 1)*s(n + 1)"
+    code, out, err = run(capsys, "verify", "--expr", expr, "--e-max", "5", "--n-max", "16")
+    assert (code, out, err) == (2, "", "error: r must lie in [0, 2^0], got 2\n")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "verify", "prop1", "--e-max", "2", "--jobs", jobs)
+    assert (code, out, err) == (2, "", f"error: jobs must be >= 1, got {jobs}\n")
+
+
+def test_verify_deep_expression_is_a_parse_error(capsys):
+    expr = "(" * 1500 + "s(n)" + ")" * 1500 + " == s(n)"
+    code, out, err = run(capsys, "verify", "--expr", expr)
+    assert (code, out) == (2, "")
+    assert err == "error: expression nests deeper than 50 levels (at position 50)\n"
 
 
 def test_verify_requires_exactly_one_target(capsys):

@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import pytest
 
-from sternlike import (DomainError, ParseError, UnknownIdentityError, catalog,
-                       catalog_entry, catalog_names, check_instance,
-                       discrepancy_report, generic_corollary, make_spec,
-                       parse_identity, preset, verify)
+from sternlike import (DomainError, ParseError, RangeError,
+                       UnknownIdentityError, catalog, catalog_entry,
+                       catalog_names, check_instance, discrepancy_report,
+                       generic_corollary, make_spec, parse_identity, preset,
+                       verify)
+from sternlike import identities
 from sternlike.identities import (Counterexample, bind_presets, render,
                                   VARIANT_FAMILIES)
 
@@ -24,6 +26,24 @@ def test_parse_error_with_position():
     with pytest.raises(ParseError) as err:
         parse_identity("s(r) + == s(n)")
     assert err.value.position is not None
+
+
+@pytest.mark.parametrize("text,position", [
+    ("(" * 1500 + "s(n)" + ")" * 1500 + " == s(n)", 50),   # nested parentheses
+    ("+".join(["s(n)"] * 300) + " == s(n)", 247),          # a long chain nests the AST
+    ("s(n) == " + "*".join(["2"] * 60), 108),              # so does a long product
+])
+def test_parse_rejects_deep_nesting_with_position(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_identity(text)
+    assert err.value.position == position
+    assert "nests deeper than 50 levels" in str(err.value)
+
+
+def test_parse_accepts_moderate_nesting():
+    ident = bind_presets(parse_identity("(" * 20 + "s(n)" + ")" * 20 + " == "
+                                        + " + ".join(["s(n)"] * 20)))
+    assert verify(ident, 1, 2).counterexample.n == 1
 
 
 def test_parse_literal_base_power():
@@ -111,6 +131,46 @@ def test_verify_is_deterministic_across_runs_and_jobs():
                 verify(ident, 4, 12, jobs=4)]
     assert verdicts[0] == verdicts[1] == verdicts[2]
     assert not verdicts[0].holds
+
+
+def test_verify_rejects_fewer_than_one_job():
+    for jobs in (0, -3):
+        with pytest.raises(RangeError):
+            verify(catalog_entry("prop1"), 2, 4, jobs=jobs)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size, runs in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs,levels,cpus,size", [
+    (64, 3, 8, 3),       # capped by the number of e-levels
+    (64, 11, 4, 4),      # capped by the CPU count
+    (3, 11, 8, 3),       # as asked
+    (8, 1, 8, None),     # one level: no pool
+    (8, 11, 1, None),    # one CPU: no pool
+])
+def test_verify_caps_worker_pool(monkeypatch, jobs, levels, cpus, size):
+    monkeypatch.setattr(identities, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(identities.os, "cpu_count", lambda: cpus)
+    _RecordingPool.sizes = []
+    ident = catalog_entry("z3_cor_printed")
+    assert verify(ident, levels - 1, 8, jobs=jobs) == verify(ident, levels - 1, 8)
+    assert _RecordingPool.sizes == ([] if size is None else [size])
 
 
 def test_catalog_identities_hold_on_small_grids():

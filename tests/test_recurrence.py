@@ -1,11 +1,16 @@
 """Spec construction, presets, and direct evaluation."""
 
+import random
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sternlike import (DomainError, RangeError, SpecError, UnknownPresetError,
-                       eval_direct, eval_range, make_spec, parse_spec_text,
-                       preset)
-from sternlike.recurrence import PRESET_NAMES, _make_evaluator
+                       coeff_at, coeff_table, coeffs, eval_direct, eval_fast,
+                       eval_range, make_spec, parse_spec_text, preset)
+from sternlike.recurrence import PRESET_NAMES, prefix
 
 from conftest import STERN_TERMS, TWISTED_TERMS
 
@@ -113,12 +118,56 @@ def test_stern_nonnegative_and_powers_of_two():
         assert eval_direct(s, 2**k) == 1
 
 
-def test_memoized_and_fresh_evaluation_agree():
-    for name in PRESET_NAMES:
-        spec = preset(name)
-        fresh = _make_evaluator(spec)
-        for n in (0, 1, 2, 3, 17, 100, 12345, 2**20 + 7):
-            assert fresh(n) == eval_direct(spec, n)
+@st.composite
+def _specs(draw):
+    n0 = draw(st.integers(0, 3))
+    a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+    size = 2 * max(n0, 1)
+    init = draw(st.lists(st.integers(-5, 5), min_size=size, max_size=size))
+    return make_spec(a, b, c, n0, init)
+
+
+@settings(deadline=None)
+@given(_specs(), st.lists(st.integers(0, 2**200), max_size=8), st.integers(0, 6))
+def test_prefix_descent_and_replay_agree(spec, far, e):
+    # three evaluations that share no code: bottom-up prefix, bit descent, bit replay
+    values = prefix(spec, 300)
+    assert len(values) == 301
+    assert tuple(values[:len(spec.init)]) == spec.init
+    for n, value in enumerate(values):
+        assert eval_direct(spec, n) == value == eval_fast(spec, n)
+    for n in far:
+        assert eval_direct(spec, n) == eval_fast(spec, n)
+    table = coeff_table(spec, e)
+    for level in range(e + 1):
+        for r in range(2**level + 1):
+            assert coeff_at(spec, level, r) == coeffs(table, level, r)
+
+
+def test_prefix_edges():
+    s = preset("stern")
+    assert prefix(s, -1) == []
+    assert prefix(s, 0) == [0]
+    assert prefix(preset("josephus"), 1) == [0, 1]
+
+
+def test_eval_direct_deep_index_needs_no_recursion():
+    assert eval_direct(preset("stern"), 2**1200 + 5) == 3596
+
+
+def test_eval_direct_retains_no_memory():
+    spec = preset("stern")
+    rng = random.Random(7)
+    ns = [rng.randrange(2**40) for _ in range(20_000)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in ns:
+            eval_direct(spec, n)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 def test_parse_spec_text():
