@@ -14,7 +14,7 @@ from dataclasses import replace
 from . import identities, linrep, oeis, series, tm_oracle
 from .errors import SternlikeError
 from .recurrence import (PRESET_NAMES, SternLikeSpec, eval_direct, load_spec_file,
-                         prefix, preset, resolve_preset_name)
+                         prefix, preset)
 
 __all__ = ["main"]
 
@@ -72,13 +72,6 @@ def _cmd_verify(args) -> int:
         identity = identities.bind_presets(identity)
         if args.n_min:
             identity = replace(identity, n_min=args.n_min)
-        if identity.uses_coeffs and identity.coeff_spec is None:
-            specs = {spec for _, spec in identity.bindings}
-            if len(specs) != 1:
-                raise SternlikeError(
-                    "A(e, r)/B(e, r) in --expr need exactly one bound sequence "
-                    "to supply the coefficient table")
-            identity = replace(identity, coeff_spec=specs.pop())
         label = args.expr
     else:
         identity = identities.catalog_entry(args.name)

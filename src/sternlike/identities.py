@@ -3,9 +3,9 @@
 An identity is `expr == expr` where each side is a sum of products of
 integer constants, powers with a constant base such as (0 - 1)^e, sequence
 terms like s(2^e*n + r), and coefficient references A(e, r) / B(e, r) that
-resolve through the compiled coefficient table of a bound spec.  Index
-expressions use +, -, *, powers of integer literals, and the quantified
-variables e, r, n.
+resolve through the coefficient table of the identity's one bound sequence.
+Index expressions use +, -, *, powers of integer literals, and the
+quantified variables e, r, n.
 
 Verification is exhaustive and exact over the grid
 
@@ -29,14 +29,15 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, ParseError, RangeError, UnknownIdentityError
 from .linrep import CoeffTable, coeff_at, coeff_table
-from .recurrence import SternLikeSpec, _term_lookup, preset
+from .recurrence import PRESET_ALIASES, PRESET_NAMES, SternLikeSpec, _term_lookup, preset
 
 __all__ = [
-    "Lit", "Var", "Add", "Sub", "Mul", "Pow", "Term", "Coeff",
+    "Lit", "Var", "BinOp", "Term", "Coeff",
     "Identity", "Counterexample", "Verdict",
     "parse_identity", "render", "bind_presets",
     "catalog", "catalog_entry", "catalog_names", "generic_corollary",
@@ -60,27 +61,10 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Add:
+class BinOp:
+    op: str  # a key of _OPS; for "^", lhs is the base and rhs the exponent
     lhs: "Node"
     rhs: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    lhs: "Node"
-    rhs: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    lhs: "Node"
-    rhs: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: "Node"
 
 
 @dataclass(frozen=True)
@@ -96,15 +80,26 @@ class Coeff:
     r_arg: "Node"
 
 
-Node = Lit | Var | Add | Sub | Mul | Pow | Term | Coeff
+Node = Lit | Var | BinOp | Term | Coeff
 
 _VARIABLES = ("e", "r", "n")
 _COEFF_NAMES = ("A", "B")
 
+# op -> (precedence, lhs context, rhs context, separator), with the grammar's
+# levels 1 expr, 2 term, 3 factor and _ATOM for everything else: a child whose
+# precedence is below its context is parenthesised.
+_ATOM = 4
+_OPS: dict[str, tuple[int, int, int, str]] = {
+    "+": (1, 1, 2, " + "),
+    "-": (1, 1, 2, " - "),
+    "*": (2, 2, 3, "*"),
+    "^": (3, _ATOM, _ATOM, "^"),
+}
+
 
 def _walk(node: Node):
     yield node
-    for attr in ("lhs", "rhs", "base", "exponent", "arg", "e_arg", "r_arg"):
+    for attr in ("lhs", "rhs", "arg", "e_arg", "r_arg"):
         child = getattr(node, attr, None)
         if child is not None:
             yield from _walk(child)
@@ -147,7 +142,6 @@ _MAX_DEPTH = 50
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
@@ -175,36 +169,27 @@ class _Parser:
             raise ParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
-    def parse_expr(self) -> Node:
-        outer = self.deeper()
-        if self.peek()[:2] == ("op", "-"):
+    def parse_expr(self, prec: int = 1) -> Node:
+        """Operators of precedence >= prec.  One whose lhs context is its own
+        precedence chains, each link one depth level; "^" joins two atoms."""
+        if prec == _ATOM:
+            return self.parse_atom()
+        outer = self.deeper() if prec == 1 else self.depth
+        if prec == 1 and self.peek()[:2] == ("op", "-"):
             self.next()
-            node: Node = Sub(Lit(0), self.parse_term())
+            node: Node = BinOp("-", Lit(0), self.parse_expr(2))
         else:
-            node = self.parse_term()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+            node = self.parse_expr(prec + 1)
+        while self.peek()[0] == "op" and _OPS.get(self.peek()[1], (0,))[0] == prec:
             op = self.next()[1]
-            self.deeper()
-            rhs = self.parse_term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            _, lhs_ctx, rhs_ctx, _ = _OPS[op]
+            chains = lhs_ctx == prec
+            if chains:
+                self.deeper()
+            node = BinOp(op, node, self.parse_expr(rhs_ctx))
+            if not chains:
+                break
         self.depth = outer
-        return node
-
-    def parse_term(self) -> Node:
-        outer = self.depth
-        node = self.parse_factor()
-        while self.peek()[:2] == ("op", "*"):
-            self.next()
-            self.deeper()
-            node = Mul(node, self.parse_factor())
-        self.depth = outer
-        return node
-
-    def parse_factor(self) -> Node:
-        node = self.parse_atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.next()
-            node = Pow(node, self.parse_atom())
         return node
 
     def parse_atom(self) -> Node:
@@ -241,7 +226,7 @@ class _Parser:
 
 
 def _is_constant(node: Node) -> bool:
-    return all(isinstance(sub, (Lit, Add, Sub, Mul, Pow)) for sub in _walk(node))
+    return all(isinstance(sub, (Lit, BinOp)) for sub in _walk(node))
 
 
 def _validate(node: Node, in_index: bool) -> None:
@@ -257,51 +242,31 @@ def _validate(node: Node, in_index: bool) -> None:
     elif isinstance(node, Var):
         if not in_index:
             raise ParseError(f"bare variable {node.name!r} outside an index or exponent position")
-    elif isinstance(node, Pow):
-        if not _is_constant(node.base):
-            raise ParseError("the base of a power must be an integer constant expression")
-        _validate(node.exponent, True)
-    elif isinstance(node, (Add, Sub, Mul)):
-        _validate(node.lhs, in_index)
-        _validate(node.rhs, in_index)
+    elif isinstance(node, BinOp):
+        if node.op == "^":
+            if not _is_constant(node.lhs):
+                raise ParseError("the base of a power must be an integer constant expression")
+            _validate(node.rhs, True)
+        else:
+            _validate(node.lhs, in_index)
+            _validate(node.rhs, in_index)
 
 
 # ---------------------------------------------------------------------------
 # Printing (canonical form; re-parsing it reproduces the AST)
 
-_PREC_EXPR, _PREC_TERM, _PREC_FACTOR, _PREC_ATOM = 1, 2, 3, 4
-
-
-def _prec(node: Node) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _PREC_EXPR
-    if isinstance(node, Mul):
-        return _PREC_TERM
-    if isinstance(node, Pow):
-        return _PREC_FACTOR
-    return _PREC_ATOM
-
-
-def render(node: Node, _ctx: int = _PREC_EXPR) -> str:
+def render(node: Node, _ctx: int = 1) -> str:
+    if isinstance(node, BinOp):
+        prec, lhs_ctx, rhs_ctx, sep = _OPS[node.op]
+        body = f"{render(node.lhs, lhs_ctx)}{sep}{render(node.rhs, rhs_ctx)}"
+        return f"({body})" if prec < _ctx else body
     if isinstance(node, Lit):
-        body = str(node.value)
-    elif isinstance(node, Var):
-        body = node.name
-    elif isinstance(node, Add):
-        body = f"{render(node.lhs, _PREC_EXPR)} + {render(node.rhs, _PREC_TERM)}"
-    elif isinstance(node, Sub):
-        body = f"{render(node.lhs, _PREC_EXPR)} - {render(node.rhs, _PREC_TERM)}"
-    elif isinstance(node, Mul):
-        body = f"{render(node.lhs, _PREC_TERM)}*{render(node.rhs, _PREC_FACTOR)}"
-    elif isinstance(node, Pow):
-        body = f"{render(node.base, _PREC_ATOM)}^{render(node.exponent, _PREC_ATOM)}"
-    elif isinstance(node, Term):
-        body = f"{node.seq}({render(node.arg)})"
-    else:
-        body = f"{node.kind}({render(node.e_arg)}, {render(node.r_arg)})"
-    if _prec(node) < _ctx:
-        return f"({body})"
-    return body
+        return str(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Term):
+        return f"{node.seq}({render(node.arg)})"
+    return f"{node.kind}({render(node.e_arg)}, {render(node.r_arg)})"
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +293,9 @@ class Identity:
     """A parsed identity plus its quantifier ranges and sequence bindings.
 
     `r` always ranges over [0, 2^e].  `n` ranges over [n_min, N] when the
-    expression mentions n, and is pinned to n_min otherwise.  `coeff_spec`
-    backs A(e, r) / B(e, r) references, when present.
+    expression mentions n, and is pinned to n_min otherwise.  A(e, r) /
+    B(e, r) references read the coefficient table of the one spec bound to
+    the identity's sequence names.
     """
 
     name: str
@@ -337,7 +303,6 @@ class Identity:
     rhs: Node
     bindings: tuple[tuple[str, SternLikeSpec], ...] = ()
     n_min: int = 0
-    coeff_spec: SternLikeSpec | None = None
     family: str = ""
     variant: str = ""
 
@@ -396,18 +361,15 @@ def _int_pow(base: int, exp: int) -> int:
 
 
 def _emit(node: Node, seq_slot: dict[str, str]) -> str:
+    if isinstance(node, BinOp):
+        lhs, rhs = _emit(node.lhs, seq_slot), _emit(node.rhs, seq_slot)
+        if node.op == "^":
+            return f"_ip({lhs}, {rhs})"
+        return f"({lhs}{_OPS[node.op][3]}{rhs})"
     if isinstance(node, Lit):
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, Add):
-        return f"({_emit(node.lhs, seq_slot)} + {_emit(node.rhs, seq_slot)})"
-    if isinstance(node, Sub):
-        return f"({_emit(node.lhs, seq_slot)} - {_emit(node.rhs, seq_slot)})"
-    if isinstance(node, Mul):
-        return f"({_emit(node.lhs, seq_slot)}*{_emit(node.rhs, seq_slot)})"
-    if isinstance(node, Pow):
-        return f"_ip({_emit(node.base, seq_slot)}, {_emit(node.exponent, seq_slot)})"
     if isinstance(node, Term):
         return f"{seq_slot[node.seq]}({_emit(node.arg, seq_slot)})"
     return f"_c{node.kind}({_emit(node.e_arg, seq_slot)}, {_emit(node.r_arg, seq_slot)})"
@@ -415,7 +377,8 @@ def _emit(node: Node, seq_slot: dict[str, str]) -> str:
 
 def _compile(identity: Identity, e: int, limit: int) -> Callable[[int, int, int], tuple[int, int]]:
     """Both sides as one function of (e, r, n) at level e: term lookups bounded
-    by `limit`, coefficient rows up to e, and `coeff_at` (which validates) beyond."""
+    by `limit`, coefficient rows up to e, and `coeff_at` (which validates) beyond.
+    A(e, r)/B(e, r) read the table of the identity's one bound sequence."""
     bound = dict(identity.bindings)
     missing = [seq for seq in identity.seq_names if seq not in bound]
     if missing:
@@ -426,9 +389,11 @@ def _compile(identity: Identity, e: int, limit: int) -> Callable[[int, int, int]
         seq_slot[seq] = f"_f{i}"
         namespace[f"_f{i}"] = _term_lookup(spec, limit, seq)
     if identity.uses_coeffs:
-        if identity.coeff_spec is None:
-            raise DomainError("identity uses A(e, r)/B(e, r) but has no coeff_spec")
-        table = coeff_table(identity.coeff_spec, max(e, 0))
+        specs = set(bound.values())
+        if len(specs) != 1:
+            raise DomainError("A(e, r)/B(e, r) need exactly one bound sequence "
+                              "to supply the coefficient table")
+        table = coeff_table(specs.pop(), max(e, 0))
         namespace["_cA"] = _coeff_reader(table, 0)
         namespace["_cB"] = _coeff_reader(table, 1)
     source = (f"lambda e, r, n: ({_emit(identity.lhs, seq_slot)}, "
@@ -484,10 +449,14 @@ def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict
 
     `jobs > 1` shards e-levels over at most min(jobs, levels, CPUs) worker
     processes; the reduced verdict (count and lexicographically least
-    counterexample) does not depend on the worker count.
+    counterexample) does not depend on the worker count.  Binding errors,
+    jobs < 1 and e_max < 0 raise before any level runs.
     """
+    _compile(identity, 0, 0)  # binding errors surface here, not in a worker
     if jobs < 1:
         raise RangeError(f"jobs must be >= 1, got {jobs}")
+    if e_max < 0:
+        raise RangeError(f"e_max must be >= 0, got {e_max}")
     tasks = [(identity, e, n_max) for e in range(e_max + 1)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -504,8 +473,7 @@ def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict
 # ---------------------------------------------------------------------------
 # Catalog
 
-_REVERSE_ALIAS = {"stern": "s", "twisted": "t", "tm_complexity_shift": "y",
-                  "josephus": "d"}
+_REVERSE_ALIAS = {name: alias for alias, name in PRESET_ALIASES.items()}
 
 # (name, family, variant, n_min, text)
 _CATALOG_SOURCES: tuple[tuple[str, str, str, int, str], ...] = (
@@ -563,16 +531,6 @@ _CATALOG_SOURCES: tuple[tuple[str, str, str, int, str], ...] = (
      " == z3(2^e*(n + 2) + r) + z3(2^e*(n + 1) + r)"),
 )
 
-_COEFF_SPEC_BY_NAME = {
-    "t_corollary_derived": "twisted",
-    "z1_thm_derived": "z1",
-    "z2_thm_derived": "z2",
-    "z3_thm_derived": "z3",
-    "z1_cor_derived": "z1",
-    "z2_cor_derived": "z2",
-    "z3_cor_derived": "z3",
-}
-
 
 def generic_corollary(spec: SternLikeSpec, name: str | None = None,
                       seq_symbol: str | None = None) -> Identity:
@@ -600,40 +558,27 @@ def generic_corollary(spec: SternLikeSpec, name: str | None = None,
                    name=name or f"generic_cor_{spec.name or 'custom'}",
                    bindings=((symbol, spec),),
                    n_min=spec.n0,
-                   coeff_spec=spec,
                    family="generic_cor")
 
 
-def _build_catalog() -> tuple[Identity, ...]:
+@cache
+def catalog() -> tuple[Identity, ...]:
+    """All named, fully bound identities."""
     entries = []
     for name, family, variant, n_min, text in _CATALOG_SOURCES:
         identity = parse_identity(text)
         identity = bind_presets(identity)
-        coeff_preset = _COEFF_SPEC_BY_NAME.get(name)
         entries.append(replace(
             identity,
             name=name,
             n_min=n_min,
-            coeff_spec=preset(coeff_preset) if coeff_preset else None,
             family=family,
             variant=variant,
         ))
-    for preset_name in ("stern", "twisted", "z1", "z2", "z3",
-                        "tm_complexity_shift", "josephus"):
+    for preset_name in PRESET_NAMES:
         entries.append(generic_corollary(preset(preset_name),
                                          name=f"generic_cor_{preset_name}"))
     return tuple(entries)
-
-
-_CATALOG: tuple[Identity, ...] | None = None
-
-
-def catalog() -> tuple[Identity, ...]:
-    """All named, fully bound identities."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _build_catalog()
-    return _CATALOG
 
 
 def catalog_names() -> tuple[str, ...]:
@@ -651,8 +596,9 @@ def catalog_entry(name: str) -> Identity:
 # ---------------------------------------------------------------------------
 # Discrepancy report
 
-VARIANT_FAMILIES = ("t_corollary", "z1_thm", "z2_thm", "z3_thm",
-                    "z1_cor", "z2_cor", "z3_cor")
+# families with a printed and a derived variant, in catalog order
+VARIANT_FAMILIES: tuple[str, ...] = tuple(dict.fromkeys(
+    family for _, family, variant, _, _ in _CATALOG_SOURCES if variant))
 
 
 @dataclass(frozen=True)

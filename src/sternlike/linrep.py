@@ -148,14 +148,13 @@ def recover_coefficients(spec: SternLikeSpec, e: int, r: int,
 class LinearRepresentation:
     """Everything an external consumer needs to evaluate the sequence.
 
-    `base_states[k] = (v(k), v(k+1))` for 0 <= k < 2*n_eff, the two digit
-    matrices, and the projection (first coordinate of the state).
+    `base_states[k] = (v(k), v(k+1))` for 0 <= k < 2*n_eff and the two digit
+    matrices; a term is the first coordinate of the final state.
     """
 
     spec: SternLikeSpec
     base_states: tuple[tuple[int, int], ...]
     matrices: MatrixPair
-    projection: str = "first"
 
     def evaluate(self, n: int) -> int:
         """Replay n's binary digits, most-significant first, using only the exported data."""
@@ -190,7 +189,7 @@ class LinearRepresentation:
         m0, m1 = self.matrices.m0, self.matrices.m1
         lines.append(f"M0 {m0[0][0]} {m0[0][1]} {m0[1][0]} {m0[1][1]}")
         lines.append(f"M1 {m1[0][0]} {m1[0][1]} {m1[1][0]} {m1[1][1]}")
-        lines.append(f"projection {self.projection}")
+        lines.append("projection first")
         return "\n".join(lines) + "\n"
 
 

@@ -31,6 +31,7 @@ stern/twisted presets and report the first bad exponent on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable
 
 from .errors import DivisionError, RangeError, UnknownCheckError
@@ -382,7 +383,7 @@ def _require_depth(e_max: int, order: int) -> None:
             f"order {order} is too small for e_max {e_max}; need >= {4 * (1 << e_max)}")
 
 
-def _check_sum_s(e_max: int, order: int) -> CheckReport:
+def _check_sum_s(order: int, e_max: int) -> CheckReport:
     _require_depth(e_max, order)
     s = preset("stern")
     full = sequence_series(s, 0, order)
@@ -406,7 +407,7 @@ def _check_sum_s(e_max: int, order: int) -> CheckReport:
                        {"negative_exponent_residues": residues})
 
 
-def _check_carlitz(order: int) -> CheckReport:
+def _check_carlitz(order: int, e_max: int | None) -> CheckReport:
     s = preset("stern")
     half = sequence_series(s, 0, order // 2 + 2)
     lhs = mul(from_coeffs([1, 1, 1], order=order + 3), compose_power(half, 2))
@@ -415,8 +416,8 @@ def _check_carlitz(order: int) -> CheckReport:
     return CheckReport("carlitz", {"order": order}, (_level(0, bad),))
 
 
-def _check_coons_lemma8(k_max: int) -> CheckReport:
-    sval = prefix(preset("stern"), 1 << max(k_max, 0))
+def _check_coons_lemma8(order: int | None, k_max: int) -> CheckReport:
+    sval = prefix(preset("stern"), 1 << k_max)
     levels = []
     for k in range(k_max + 1):
         top = 1 << (k + 1)
@@ -437,66 +438,52 @@ def _check_coons_lemma8(k_max: int) -> CheckReport:
                        tuple(levels))
 
 
-def _check_bconj1(e_max: int, order: int) -> CheckReport:
+# name -> (numerator terms (sign, preset, offset multiple), artifact key, level
+# sign L).  N(m) sums sign * the preset's series from offset multiple*m; with S
+# the Stern series and Q = N(1)/S, level e checks L^e * N(2^e) == Q(X^(2^e))*S.
+# bconj3, the twisted bconj2, is consistent with its quotient for L = -1.
+_BCONJ = {
+    "bconj1": (((1, "twisted", 3),), "u_prefix", -1),
+    "bconj2": (((1, "stern", 2), (-1, "stern", 1)), "a_prefix", 1),
+    "bconj3": (((1, "twisted", 2), (1, "twisted", 1)), "b_prefix", -1),
+}
+
+
+def _numerator(terms: tuple[tuple[int, str, int], ...], m: int, order: int) -> LaurentSeries:
+    (sign, name, multiple), *rest = terms
+    total = sequence_series(preset(name), multiple * m, order)
+    if sign < 0:
+        total = scale(total, -1)
+    for sign, name, multiple in rest:
+        term = sequence_series(preset(name), multiple * m, order)
+        total = add(total, term) if sign > 0 else sub(total, term)
+    return total
+
+
+def _check_bconj(name: str, order: int, e_max: int) -> CheckReport:
     _require_depth(e_max, order)
-    s = preset("stern")
-    t = preset("twisted")
-    big = sequence_series(s, 0, order)
-    u = divide(sequence_series(t, 3, order), big)
+    terms, artifact, level_sign = _BCONJ[name]
+    big = sequence_series(preset("stern"), 0, order)
+    quotient = divide(_numerator(terms, 1, order), big)
     levels = []
     for e in range(e_max + 1):
         p = 1 << e
-        lhs = sequence_series(t, 3 * p, order)
-        rhs = scale(mul(compose_power(u, p), big), (-1) ** e)
+        lhs = _numerator(terms, p, order)
+        if level_sign ** e < 0:
+            lhs = scale(lhs, -1)
+        rhs = mul(compose_power(quotient, p), big)
         levels.append(_level(e, first_mismatch(lhs, rhs)))
-    return CheckReport("bconj1", {"e_max": e_max, "order": order}, tuple(levels),
-                       {"u_prefix": u.coeffs[:8]})
-
-
-def _check_bconj2(e_max: int, order: int) -> CheckReport:
-    _require_depth(e_max, order)
-    s = preset("stern")
-    big = sequence_series(s, 0, order)
-    num = sub(sequence_series(s, 2, order), sequence_series(s, 1, order))
-    a = divide(num, big)
-    levels = []
-    for e in range(e_max + 1):
-        p = 1 << e
-        lhs = sub(sequence_series(s, 2 * p, order), sequence_series(s, p, order))
-        rhs = mul(compose_power(a, p), big)
-        levels.append(_level(e, first_mismatch(lhs, rhs)))
-    return CheckReport("bconj2", {"e_max": e_max, "order": order}, tuple(levels),
-                       {"a_prefix": a.coeffs[:8]})
-
-
-def _check_bconj3(e_max: int, order: int) -> CheckReport:
-    _require_depth(e_max, order)
-    # the twisted analogue of bconj2; the sign that makes level e consistent
-    # with the defining quotient at e = 0 is (-1)^e
-    s = preset("stern")
-    t = preset("twisted")
-    big = sequence_series(s, 0, order)
-    num = add(sequence_series(t, 2, order), sequence_series(t, 1, order))
-    b = divide(num, big)
-    levels = []
-    for e in range(e_max + 1):
-        p = 1 << e
-        lhs = add(sequence_series(t, 2 * p, order), sequence_series(t, p, order))
-        rhs = mul(compose_power(b, p), big)
-        levels.append(_level(e, first_mismatch(scale(lhs, (-1) ** e), rhs)))
-    return CheckReport("bconj3", {"e_max": e_max, "order": order}, tuple(levels),
-                       {"b_prefix": b.coeffs[:8]})
+    return CheckReport(name, {"e_max": e_max, "order": order}, tuple(levels),
+                       {artifact: quotient.coeffs[:8]})
 
 
 # name -> (runner(order, e_max), default order, default e_max); carlitz has
 # no levels and coons_lemma8's order follows from its e_max
 _CHECKS = {
-    "sum_s": (lambda order, e_max: _check_sum_s(e_max, order), 1024, 5),
-    "carlitz": (lambda order, e_max: _check_carlitz(order), 1024, None),
-    "coons_lemma8": (lambda order, e_max: _check_coons_lemma8(e_max), None, 5),
-    "bconj1": (lambda order, e_max: _check_bconj1(e_max, order), 256, 5),
-    "bconj2": (lambda order, e_max: _check_bconj2(e_max, order), 256, 5),
-    "bconj3": (lambda order, e_max: _check_bconj3(e_max, order), 256, 5),
+    "sum_s": (_check_sum_s, 1024, 5),
+    "carlitz": (_check_carlitz, 1024, None),
+    "coons_lemma8": (_check_coons_lemma8, None, 5),
+    **{name: (partial(_check_bconj, name), 256, 5) for name in _BCONJ},
 }
 
 CHECK_NAMES = tuple(_CHECKS)
@@ -507,10 +494,14 @@ def check_named(name: str, order: int | None = None, e_max: int | None = None) -
 
     `order` is the truncation order M; `e_max` is the top scale level E
     (for coons_lemma8 it is the top product length K).  Defaults: order 256,
-    e_max 5, and order 1024 for carlitz and sum_s.
+    e_max 5, and order 1024 for carlitz and sum_s.  A negative e_max raises
+    RangeError for every check with levels; carlitz ignores e_max.
     """
     if name not in _CHECKS:
         raise UnknownCheckError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
     run, default_order, default_e_max = _CHECKS[name]
-    return run(default_order if order is None else order,
-               default_e_max if e_max is None else e_max)
+    if e_max is None:
+        e_max = default_e_max
+    elif e_max < 0 and default_e_max is not None:
+        raise RangeError(f"e_max must be >= 0, got {e_max}")
+    return run(default_order if order is None else order, e_max)

@@ -81,8 +81,8 @@ def verify_y_preset(ell_max: int, prefix_factor: int = 1024) -> YPresetReport:
     if ell_max < 1:
         raise RangeError(f"ell_max must be >= 1, got {ell_max}")
     length = prefix_factor * ell_max
-    word = thue_morse_prefix(length)
     double = thue_morse_prefix(2 * length)
+    word = double[:length]  # Thue-Morse prefixes are prefixes of each other
     spec = preset("tm_complexity_shift")
     mismatches = []
     unsaturated = []

@@ -159,6 +159,43 @@ def test_catalog_lists_names(capsys):
     assert len(out.splitlines()) >= 15
 
 
+def test_catalog_listing_matches_fixture(capsys, fixtures_dir):
+    code, out, err = run(capsys, "catalog")
+    expected = (fixtures_dir / "catalog.txt").read_text(encoding="utf-8")
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("expr", [
+    "A(e, r)*s(n) == t(n)",   # two sequences
+    "A(e, r) == A(e, r)",     # none
+])
+def test_verify_expr_coefficients_need_one_bound_sequence(capsys, expr):
+    code, out, err = run(capsys, "verify", "--expr", expr, "--jobs", "4")
+    assert (code, out) == (2, "")
+    assert err == ("error: A(e, r)/B(e, r) need exactly one bound sequence "
+                   "to supply the coefficient table\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "sum_s", "--e-max", "-1"),
+    ("series", "bconj1", "--e-max", "-1"),
+    ("series", "bconj2", "--e-max", "-1"),
+    ("series", "bconj3", "--e-max", "-1"),
+    ("series", "coons_lemma8", "--e-max", "-1"),
+    ("series", "coons_lemma8", "--e-max", "-2"),
+    ("verify", "prop1", "--e-max", "-1"),
+])
+def test_negative_e_max_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: e_max must be >= 0, got {argv[-1]}\n"
+
+
+def test_carlitz_ignores_e_max(capsys):
+    code, out, _ = run(capsys, "series", "carlitz", "--order", "64", "--e-max", "-1")
+    assert (code, out) == (0, "check=carlitz e=0 holds=true order=64\n")
+
+
 @pytest.mark.parametrize("argv,expected", [
     (("eval", "stern", "11"), 0),                                   # success
     (("verify", "prop1", "--e-max", "3", "--n-max", "8"), 0),       # holds

@@ -77,6 +77,18 @@ def test_render_precedence():
     assert ident.text == "s(n)*(s(n) + 1) == s(n)*s(n) + s(n)"
 
 
+@pytest.mark.parametrize("text", [
+    "s(n)*(2*s(n)) == 2 - (1 - s(n)) - (1 + 1)",
+    "(s(n) - 1)*2^(e + 1) == (2^3)^e + (0 - 1)^(e*(r - 1))",
+    *(entry.text for entry in catalog()),
+])
+def test_render_reparses_to_the_same_tree(text):
+    ident = parse_identity(text)
+    assert ident.text == text
+    reparsed = parse_identity(ident.text)
+    assert (reparsed.lhs, reparsed.rhs) == (ident.lhs, ident.rhs)
+
+
 def test_catalog_contents():
     names = catalog_names()
     assert len(names) >= 15
@@ -171,6 +183,35 @@ def test_verify_caps_worker_pool(monkeypatch, jobs, levels, cpus, size):
     ident = catalog_entry("z3_cor_printed")
     assert verify(ident, levels - 1, 8, jobs=jobs) == verify(ident, levels - 1, 8)
     assert _RecordingPool.sizes == ([] if size is None else [size])
+
+
+@pytest.mark.parametrize("ident,message", [
+    (bind_presets(parse_identity("A(e, r)*s(n) == t(n)")), "exactly one bound sequence"),
+    (bind_presets(parse_identity("A(e, r) == B(e, r)")), "exactly one bound sequence"),
+    (parse_identity("s(n) == s(n)"), "unbound sequence names: s"),
+])
+def test_verify_binding_errors_raise_before_any_level(monkeypatch, ident, message):
+    monkeypatch.setattr(identities, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.sizes = []
+    for jobs in (1, 4):
+        with pytest.raises(DomainError, match=message):
+            verify(ident, 3, 4, jobs=jobs)
+    assert _RecordingPool.sizes == []
+
+
+def test_verify_coefficients_accept_one_spec_under_two_names():
+    ident = bind_presets(parse_identity("A(e, r)*s(n) == stern(n)*A(e, r)"))
+    assert verify(ident, 3, 4).holds
+
+
+def test_verify_rejects_negative_e_max():
+    with pytest.raises(RangeError, match="e_max must be >= 0, got -1"):
+        verify(catalog_entry("prop1"), -1, 4)
+
+
+def test_variant_families_follow_the_catalog():
+    families = [ident.family for ident in catalog() if ident.variant]
+    assert VARIANT_FAMILIES == tuple(dict.fromkeys(families))
 
 
 def test_catalog_identities_hold_on_small_grids():

@@ -206,6 +206,15 @@ def test_leveled_checks_reject_too_small_orders():
         check_named("bconj1", e_max=8, order=64)
 
 
+@pytest.mark.parametrize("name,e_max", [
+    ("sum_s", -1), ("bconj1", -1), ("bconj2", -1), ("bconj3", -1),
+    ("coons_lemma8", -1), ("coons_lemma8", -2),
+])
+def test_leveled_checks_reject_negative_e_max(name, e_max):
+    with pytest.raises(RangeError, match=f"e_max must be >= 0, got {e_max}"):
+        check_named(name, order=256, e_max=e_max)
+
+
 def test_first_mismatch_reports_smallest_exponent():
     f = from_coeffs([1, 2, 3])
     g = from_coeffs([1, 2, 4, 9])
