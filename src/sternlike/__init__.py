@@ -25,7 +25,8 @@ from .recurrence import (PRESET_NAMES, SternLikeSpec, eval_direct, eval_range,
 from .series import (LaurentSeries, CheckReport, add, check_named,
                      compose_power, divide, first_mismatch, mul,
                      sequence_series, scale, shift, sub, truncate)
-from .tm_oracle import factor_complexity, thue_morse_prefix, verify_y_preset
+from .tm_oracle import (factor_complexity, factor_counts, thue_morse_prefix,
+                        verify_y_preset)
 
 __version__ = "0.1.0"
 
@@ -41,7 +42,7 @@ __all__ = [
     "LaurentSeries", "CheckReport", "sequence_series", "add", "sub", "mul",
     "scale", "compose_power", "shift", "truncate", "divide", "first_mismatch",
     "check_named",
-    "thue_morse_prefix", "factor_complexity", "verify_y_preset",
+    "thue_morse_prefix", "factor_complexity", "factor_counts", "verify_y_preset",
     "BFileTable", "parse_bfile", "write_bfile", "crosscheck", "fetch_bfile",
     "SternlikeError", "SpecError", "UnknownPresetError", "RangeError",
     "DomainError", "ParseError", "UnknownIdentityError",

@@ -426,12 +426,9 @@ def _verify_level(identity: Identity, e: int, n_max: int) -> tuple[int, Countere
     """
     r_top = 1 << e
     n_lo, n_hi = identity.n_min, (n_max if identity.uses_n else identity.n_min)
-    n_count = n_hi - n_lo + 1
-    count = (r_top + 1) * max(n_count, 0)
+    count = (r_top + 1) * (n_hi - n_lo + 1)
     # every catalog index stays below 8x the level's count (5*2^e*n + r needs 5x)
     fn = _compile(identity, e, 8 * count)
-    if n_count <= 0:
-        return 0, None
     for r in range(r_top + 1):
         for n in range(n_lo, n_hi + 1):
             lhs, rhs = fn(e, r, n)
@@ -450,13 +447,16 @@ def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict
     `jobs > 1` shards e-levels over at most min(jobs, levels, CPUs) worker
     processes; the reduced verdict (count and lexicographically least
     counterexample) does not depend on the worker count.  Binding errors,
-    jobs < 1 and e_max < 0 raise before any level runs.
+    jobs < 1, e_max < 0 and, when the identity mentions n, n_max < n_min
+    raise before any level runs.
     """
     _compile(identity, 0, 0)  # binding errors surface here, not in a worker
     if jobs < 1:
         raise RangeError(f"jobs must be >= 1, got {jobs}")
     if e_max < 0:
         raise RangeError(f"e_max must be >= 0, got {e_max}")
+    if identity.uses_n and n_max < identity.n_min:
+        raise RangeError(f"n_max must be >= n_min = {identity.n_min}, got {n_max}")
     tasks = [(identity, e, n_max) for e in range(e_max + 1)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError, SingularSystemError
-from .recurrence import SternLikeSpec, _descent, evaluator, prefix
+from .recurrence import SternLikeSpec, _descent, evaluator
 
 __all__ = [
     "CoeffTable",
@@ -194,5 +194,8 @@ class LinearRepresentation:
 
 
 def linear_representation(spec: SternLikeSpec) -> LinearRepresentation:
-    values = prefix(spec, 2 * spec.n_eff)
-    return LinearRepresentation(spec, tuple(zip(values, values[1:])), transition_matrices(spec))
+    """Base states read straight off `init`; the last one needs v(2*n_eff) = a*v(n_eff).
+    Nothing is cached, so `eval_fast` pays this on every call: keep it cheap."""
+    init = spec.init
+    ends = (*init[1:], spec.a * init[spec.n_eff])
+    return LinearRepresentation(spec, tuple(zip(init, ends)), transition_matrices(spec))

@@ -408,6 +408,8 @@ def _check_sum_s(order: int, e_max: int) -> CheckReport:
 
 
 def _check_carlitz(order: int, e_max: int | None) -> CheckReport:
+    if order < 2:
+        raise RangeError(f"order must be >= 2, got {order}")
     s = preset("stern")
     half = sequence_series(s, 0, order // 2 + 2)
     lhs = mul(from_coeffs([1, 1, 1], order=order + 3), compose_power(half, 2))

@@ -10,6 +10,13 @@ no code with the recurrence evaluator: the preset claims
 Counts are exact (set membership compares whole windows, hashing is only a
 shortcut), and a saturation check re-counts on a doubled prefix to detect a
 prefix too short to contain every block.
+
+`factor_counts` gives every length 1..ell_max in one pass: it collects the
+distinct maximal windows word[i:i + ell_max] (shorter near the end) once,
+then counts the distinct ell-prefixes of those at least ell long.  Every
+length-ell window is the ell-prefix of the maximal window starting at the
+same place, so the counts equal per-length enumeration; `factor_complexity`
+is that single-length count, kept as the independent check.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .recurrence import eval_direct, preset
 __all__ = [
     "thue_morse_prefix",
     "factor_complexity",
+    "factor_counts",
     "YPresetReport",
     "verify_y_preset",
 ]
@@ -44,6 +52,15 @@ def factor_complexity(word: bytes, ell: int) -> int:
     if not 1 <= ell <= len(word):
         raise RangeError(f"block length must lie in [1, {len(word)}], got {ell}")
     return len({word[i:i + ell] for i in range(len(word) - ell + 1)})
+
+
+def factor_counts(word: bytes, ell_max: int) -> tuple[int, ...]:
+    """(factor_complexity(word, ell) for ell = 1..ell_max), from one window pass."""
+    if not 1 <= ell_max <= len(word):
+        raise RangeError(f"ell_max must lie in [1, {len(word)}], got {ell_max}")
+    blocks = {word[i:i + ell_max] for i in range(len(word))}
+    return tuple(len({w[:ell] for w in blocks if len(w) >= ell})
+                 for ell in range(1, ell_max + 1))
 
 
 @dataclass(frozen=True)
@@ -86,9 +103,9 @@ def verify_y_preset(ell_max: int, prefix_factor: int = 1024) -> YPresetReport:
     spec = preset("tm_complexity_shift")
     mismatches = []
     unsaturated = []
-    for ell in range(1, ell_max + 1):
-        count = factor_complexity(word, ell)
-        if factor_complexity(double, ell) != count:
+    counts = zip(factor_counts(word, ell_max), factor_counts(double, ell_max))
+    for ell, (count, recount) in enumerate(counts, start=1):
+        if recount != count:
             unsaturated.append(ell)
         expected = eval_direct(spec, ell - 1)
         if count != expected:

@@ -196,6 +196,37 @@ def test_carlitz_ignores_e_max(capsys):
     assert (code, out) == (0, "check=carlitz e=0 holds=true order=64\n")
 
 
+@pytest.mark.parametrize("order", ["-5", "0", "1"])
+def test_carlitz_rejects_orders_below_two(capsys, order):
+    code, out, err = run(capsys, "series", "carlitz", "--order", order)
+    assert (code, out, err) == (2, "", f"error: order must be >= 2, got {order}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "prop1", "--n-max", "-1"), "n_max must be >= n_min = 0, got -1"),
+    (("verify", "prop2", "--n-max", "0"), "n_max must be >= n_min = 1, got 0"),
+    (("verify", "--expr", "s(n) == s(n)", "--n-min", "3", "--n-max", "2"),
+     "n_max must be >= n_min = 3, got 2"),
+    # the earlier checks keep their messages when several apply
+    (("verify", "prop1", "--n-max", "-1", "--jobs", "0"), "jobs must be >= 1, got 0"),
+    (("verify", "prop1", "--n-max", "-1", "--e-max", "-1"), "e_max must be >= 0, got -1"),
+    (("verify", "--expr", "A(e, r)*s(n) == t(n)", "--n-max", "-1"),
+     "A(e, r)/B(e, r) need exactly one bound sequence to supply the coefficient table"),
+])
+def test_empty_n_range_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("ell_max", [1, 4, 16, 64])
+def test_oracle_tm_output_is_pinned(capsys, fixtures_dir, ell_max):
+    lines = (fixtures_dir / "oracle_tm_64.txt").read_text(encoding="utf-8").splitlines(True)
+    code, out, err = run(capsys, "oracle-tm", "--ell-max", str(ell_max))
+    assert (code, out) == (0, "".join(lines[:ell_max]))
+    assert err == (f"block lengths 1..{ell_max}: recurrence matches brute-force counts "
+                   f"(prefix {1024 * ell_max}, saturated)\n")
+
+
 @pytest.mark.parametrize("argv,expected", [
     (("eval", "stern", "11"), 0),                                   # success
     (("verify", "prop1", "--e-max", "3", "--n-max", "8"), 0),       # holds

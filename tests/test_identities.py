@@ -209,6 +209,18 @@ def test_verify_rejects_negative_e_max():
         verify(catalog_entry("prop1"), -1, 4)
 
 
+@pytest.mark.parametrize("name,n_max", [("prop1", -1), ("prop2", 0)])
+def test_verify_rejects_an_empty_n_range(name, n_max):
+    entry = catalog_entry(name)
+    with pytest.raises(RangeError, match=f"n_max must be >= n_min = {entry.n_min}, got {n_max}"):
+        verify(entry, 3, n_max)
+
+
+def test_verify_pins_n_for_identities_without_n():
+    entry = catalog_entry("stern_reflect")
+    assert verify(entry, 4, -3) == verify(entry, 4, entry.n_min) == verify(entry, 4, 99)
+
+
 def test_variant_families_follow_the_catalog():
     families = [ident.family for ident in catalog() if ident.variant]
     assert VARIANT_FAMILIES == tuple(dict.fromkeys(families))

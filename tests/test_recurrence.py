@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from sternlike import (DomainError, RangeError, SpecError, UnknownPresetError,
                        coeff_at, coeff_table, coeffs, eval_direct, eval_fast,
-                       eval_range, make_spec, parse_spec_text, preset)
+                       eval_range, linear_representation, make_spec,
+                       parse_spec_text, preset)
 from sternlike.recurrence import PRESET_NAMES, prefix
 
 from conftest import STERN_TERMS, TWISTED_TERMS
@@ -142,6 +143,12 @@ def test_prefix_descent_and_replay_agree(spec, far, e):
     for level in range(e + 1):
         for r in range(2**level + 1):
             assert coeff_at(spec, level, r) == coeffs(table, level, r)
+
+
+@given(_specs())
+def test_linear_representation_base_states_follow_prefix(spec):
+    values = prefix(spec, 2 * spec.n_eff)
+    assert linear_representation(spec).base_states == tuple(zip(values, values[1:]))
 
 
 def test_prefix_edges():

@@ -215,6 +215,17 @@ def test_leveled_checks_reject_negative_e_max(name, e_max):
         check_named(name, order=256, e_max=e_max)
 
 
+@pytest.mark.parametrize("order", [-5, 0, 1])
+def test_carlitz_rejects_orders_below_two(order):
+    with pytest.raises(RangeError, match=f"order must be >= 2, got {order}"):
+        check_named("carlitz", order=order)
+
+
+def test_carlitz_smallest_orders_hold():
+    assert check_named("carlitz", order=2).holds
+    assert check_named("carlitz", order=3).holds
+
+
 def test_first_mismatch_reports_smallest_exponent():
     f = from_coeffs([1, 2, 3])
     g = from_coeffs([1, 2, 4, 9])

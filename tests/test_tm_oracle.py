@@ -1,9 +1,12 @@
 """The brute-force Thue-Morse block-counting oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sternlike import (RangeError, eval_direct, factor_complexity, preset,
-                       thue_morse_prefix, verify_y_preset)
+from sternlike import (RangeError, eval_direct, factor_complexity,
+                       factor_counts, preset, thue_morse_prefix,
+                       verify_y_preset)
 
 
 def test_prefix_examples():
@@ -59,3 +62,44 @@ def test_saturation_detects_short_prefixes():
     # a deliberately tiny prefix factor must trip the saturation check
     report = verify_y_preset(32, prefix_factor=2)
     assert report.unsaturated
+
+
+@st.composite
+def _words_and_ell_max(draw):
+    letters = draw(st.integers(1, 3))
+    word = bytes(draw(st.lists(st.integers(0, letters - 1), min_size=1, max_size=400)))
+    ell_max = draw(st.one_of(st.just(len(word)), st.integers(1, len(word))))
+    return word, ell_max
+
+
+@settings(deadline=None)
+@given(_words_and_ell_max())
+def test_factor_counts_match_per_length_counts(case):
+    word, ell_max = case
+    assert factor_counts(word, ell_max) == tuple(
+        factor_complexity(word, ell) for ell in range(1, ell_max + 1))
+
+
+@pytest.mark.parametrize("ell_max", [-1, 0, 4])
+def test_factor_counts_rejects_lengths_outside_the_word(ell_max):
+    with pytest.raises(RangeError, match=rf"ell_max must lie in \[1, 3\], got {ell_max}"):
+        factor_counts(b"\x00\x01\x01", ell_max)
+
+
+@pytest.mark.parametrize("prefix_factor", [2, 1024])
+@pytest.mark.parametrize("ell_max", [1, 16, 64])
+def test_verify_y_preset_matches_per_length_recount(ell_max, prefix_factor):
+    length = prefix_factor * ell_max
+    word, double = thue_morse_prefix(length), thue_morse_prefix(2 * length)
+    spec = preset("tm_complexity_shift")
+    mismatches, unsaturated = [], []
+    for ell in range(1, ell_max + 1):
+        count = factor_complexity(word, ell)
+        if factor_complexity(double, ell) != count:
+            unsaturated.append(ell)
+        expected = eval_direct(spec, ell - 1)
+        if count != expected:
+            mismatches.append((ell, count, expected))
+    report = verify_y_preset(ell_max, prefix_factor=prefix_factor)
+    assert (report.mismatches, report.unsaturated, report.prefix_length) == (
+        tuple(mismatches), tuple(unsaturated), length)
