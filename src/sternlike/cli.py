@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = success / identity holds; 1 = a counterexample or mismatch
-was found; 2 = usage, parse, or spec errors.
+was found; 2 = usage, parse, or spec errors, and input files that are
+not UTF-8 text.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from . import identities, linrep, oeis, series, tm_oracle
-from .errors import SternlikeError
+from .errors import BFileError, SternlikeError
 from .recurrence import (PRESET_NAMES, SternLikeSpec, eval_direct, load_spec_file,
                          prefix, preset)
 
@@ -112,8 +113,12 @@ def _cmd_oeis_check(args) -> int:
         default_shift = oeis.PRESET_OEIS_IDS[spec.name][1]
     shift = default_shift if args.shift is None else args.shift
     if args.bfile is not None:
-        with open(args.bfile, "r", encoding="utf-8") as fh:
-            table = oeis.parse_bfile(fh.read(), source=args.bfile)
+        try:
+            with open(args.bfile, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise BFileError(f"{args.bfile}: not UTF-8 text ({exc})") from None
+        table = oeis.parse_bfile(text, source=args.bfile)
     else:
         if spec.name not in oeis.PRESET_OEIS_IDS:
             raise SternlikeError(
@@ -204,6 +209,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact values are the output, so lift the int <-> str digit limit while
+    # the command runs (both for arguments and for printed terms)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: list[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -213,10 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except SternlikeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SternlikeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

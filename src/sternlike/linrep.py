@@ -160,16 +160,18 @@ class LinearRepresentation:
         """Replay n's binary digits, most-significant first, using only the exported data."""
         if n < 0:
             raise DomainError(f"sequence index must be >= 0, got {n}")
-        m = n
-        bits: list[int] = []
-        while m >= len(self.base_states):
-            bits.append(m & 1)
-            m >>= 1
-        x, y = self.base_states[m]
+        # the base index is n's top bits: the smallest shift j with n >> j
+        # below len(base_states); the j digits under it are replayed
+        size = len(self.base_states)
+        j = max(0, n.bit_length() - size.bit_length())
+        if n >> j >= size:
+            j += 1
+        x, y = self.base_states[n >> j]
         (a00, a01), (a10, a11) = self.matrices.m0
         (b00, b01), (b10, b11) = self.matrices.m1
-        for bit in reversed(bits):
-            if bit:
+        digits = format(n, "b")
+        for bit in digits[len(digits) - j:]:
+            if bit == "1":
                 x, y = b00 * x + b01 * y, b10 * x + b11 * y
             else:
                 x, y = a00 * x + a01 * y, a10 * x + a11 * y

@@ -259,8 +259,11 @@ def parse_spec_text(text: str, name: str | None = None) -> SternLikeSpec:
 
 
 def load_spec_file(path) -> SternLikeSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path}: not UTF-8 text ({exc})") from None
     spec = parse_spec_text(text)
     if spec.name is None:
         spec = replace(spec, name=str(path))

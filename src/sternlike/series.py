@@ -18,14 +18,13 @@ asking beyond that is a harness bug, not a silent pass.
 All coefficient arithmetic is exact; division refuses to leave the
 integers.  Multiplication is Kronecker substitution: both operands are
 packed into one integer each and multiplied once by CPython's bigint
-multiply.  Division by a series whose lowest nonzero coefficient is +-1
-(the stern series among them) multiplies by the inverse from Newton
-iteration; any other denominator goes through exact long division, which
-raises DivisionError at the first step that leaves the integers.  Results
-and the order rules above do not depend on which algorithm ran.
+multiply.  Division is exact long division, quadratic in the order, which
+raises DivisionError at the first step that leaves the integers.
 
 The named checks verify relations between the generating series of the
-stern/twisted presets and report the first bad exponent on failure.
+stern/twisted presets and report the first bad exponent on failure.  The
+bconj checks compare cross-multiplied products, so they never form a
+full-order quotient.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ __all__ = [
     "truncate",
     "divide",
     "first_mismatch",
-    "agree",
     "CheckReport",
     "LevelResult",
     "CHECK_NAMES",
@@ -210,22 +208,6 @@ def _pack(coeffs, w: int) -> int:
     return packed[0]
 
 
-def _inverse(d, m: int) -> list[int]:
-    """First m coefficients of 1/d for a power series d with d[0] = +-1.
-
-    Newton iteration g <- g + g*(1 - d*g): each step doubles the number of
-    correct coefficients, and since d*g = 1 + X^p*h the step only needs h.
-    """
-    g = [d[0]]
-    p = 1
-    while p < m:
-        q = min(2 * p, m)
-        h = _kronecker(d[:q], g, q)[p:]
-        g.extend(-c for c in _kronecker(g, h, q - p))
-        p = q
-    return g
-
-
 def scale(f: LaurentSeries, k: int) -> LaurentSeries:
     return LaurentSeries(f.val, tuple(k * coeff for coeff in f.coeffs))
 
@@ -269,40 +251,25 @@ def divide(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
     vn = num.valuation()
     if vn is None:
         # numerator vanishes through its sound range: quotient is 0 there
-        q_order = num.order - vd
-        q_val = num.val - vd
-        if q_order <= q_val:
-            raise DivisionError("quotient has no sound exponent range")
-        return zero(q_order, val=q_val)
+        return zero(num.order - vd, val=num.val - vd)
     if vn < vd:
         raise DivisionError(
             f"valuation mismatch: numerator starts at X^{vn}, denominator at X^{vd}"
         )
     q_val = vn - vd
-    q_order = min(num.order, den.order + q_val) - vd
-    if q_order <= q_val:
-        raise DivisionError("quotient has no sound exponent range")
-    lead = den.coefficient(vd)
-    if lead in (1, -1):
-        # num/den = (num/X^vn) * (den/X^vd)^-1 * X^q_val, and the inverse is
-        # integral; only q_order - q_val terms of each factor are sound
-        m = q_order - q_val
-        inverse = _inverse(den.coeffs[vd - den.val:], m)
-        return LaurentSeries(q_val, tuple(_kronecker(num.coeffs[vn - num.val:], inverse, m)))
-    rem = {e: num.coefficient(e) for e in range(vn, num.order)}
+    rem = list(num.coeffs[vn - num.val:])
+    d = den.coeffs[vd - den.val:]
     out = []
-    for k in range(q_val, q_order):
-        q_k, leftover = divmod(rem.get(vd + k, 0), lead)
+    for k in range(min(len(rem), len(d))):
+        q_k, leftover = divmod(rem[k], d[0])
         if leftover:
             raise DivisionError(
-                f"division step at X^{k} is not exact over the integers"
+                f"division step at X^{q_val + k} is not exact over the integers"
             )
         out.append(q_k)
         if q_k:
-            for j in range(vd, min(den.order, num.order - k)):
-                dc = den.coefficient(j)
-                if dc:
-                    rem[j + k] = rem.get(j + k, 0) - q_k * dc
+            end = k + min(len(d), len(rem) - k)
+            rem[k + 1:end] = [r - q_k * c for r, c in zip(rem[k + 1:end], d[1:])]
     return LaurentSeries(q_val, tuple(out))
 
 
@@ -324,10 +291,6 @@ def first_mismatch(f: LaurentSeries, g: LaurentSeries) -> int | None:
                 if fc != gc:
                     return split + i
     return None
-
-
-def agree(f: LaurentSeries, g: LaurentSeries) -> bool:
-    return first_mismatch(f, g) is None
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +405,12 @@ def _check_coons_lemma8(order: int | None, k_max: int) -> CheckReport:
 
 # name -> (numerator terms (sign, preset, offset multiple), artifact key, level
 # sign L).  N(m) sums sign * the preset's series from offset multiple*m; with S
-# the Stern series and Q = N(1)/S, level e checks L^e * N(2^e) == Q(X^(2^e))*S.
-# bconj3, the twisted bconj2, is consistent with its quotient for L = -1.
+# the Stern series and Q = N(1)/S, level e states L^e * N(p) == Q(X^p)*S for
+# p = 2^e.  The check compares both sides times S(X^p),
+# L^e * N(p) * S(X^p) == N(1)(X^p) * S, which needs no quotient.  S(X^p) is
+# X^p times a unit, so a first mismatch at X^(k+p) is one at X^k of the
+# quotient form.  bconj3, the twisted bconj2, is consistent with its quotient
+# for L = -1.  The artifact is Q's first eight coefficients.
 _BCONJ = {
     "bconj1": (((1, "twisted", 3),), "u_prefix", -1),
     "bconj2": (((1, "stern", 2), (-1, "stern", 1)), "a_prefix", 1),
@@ -465,16 +432,25 @@ def _numerator(terms: tuple[tuple[int, str, int], ...], m: int, order: int) -> L
 def _check_bconj(name: str, order: int, e_max: int) -> CheckReport:
     _require_depth(e_max, order)
     terms, artifact, level_sign = _BCONJ[name]
-    big = sequence_series(preset("stern"), 0, order)
-    quotient = divide(_numerator(terms, 1, order), big)
+    top = order + (1 << e_max)
+    big = sequence_series(preset("stern"), 0, top)
+    first = _numerator(terms, 1, top)
+    # every row's N(1) starts at X^1, so nine terms give Q's first eight
+    head = min(order, 9)
+    quotient = divide(truncate(first, head), truncate(big, head))
     levels = []
     for e in range(e_max + 1):
         p = 1 << e
-        lhs = _numerator(terms, p, order)
+        # Q(X^p)*S is sound below min(order, p*(order - 1)), as Q is sound
+        # below order - 1; the products cover that range shifted by X^p
+        reach = min(order, p * (order - 1)) + p
+        stretch = -(-reach // p)
+        lhs = mul(_numerator(terms, p, reach), compose_power(truncate(big, stretch), p))
         if level_sign ** e < 0:
             lhs = scale(lhs, -1)
-        rhs = mul(compose_power(quotient, p), big)
-        levels.append(_level(e, first_mismatch(lhs, rhs)))
+        rhs = mul(compose_power(truncate(first, stretch), p), truncate(big, reach))
+        bad = first_mismatch(lhs, rhs)
+        levels.append(_level(e, None if bad is None else bad - p))
     return CheckReport(name, {"e_max": e_max, "order": order}, tuple(levels),
                        {artifact: quotient.coeffs[:8]})
 

@@ -1,10 +1,12 @@
 """CLI subcommands and the 0/1/2 exit-code contract."""
 
+import sys
+
 import pytest
 
 from sternlike.cli import main
 
-from conftest import STERN_TERMS
+from conftest import FIXTURES, STERN_TERMS
 
 
 def run(capsys, *argv):
@@ -256,3 +258,52 @@ def test_exit_code_mismatch_and_bad_bfile(capsys, tmp_path):
     bad_spec = tmp_path / "bad.spec"
     bad_spec.write_text("a = 1\n")
     assert run(capsys, "eval", str(bad_spec), "3")[0] == 2
+
+
+def _series_cli_cases():
+    """(argv, exit code, stdout, stderr) per `$ ...` block of the fixture."""
+    text = (FIXTURES / "series_cli.txt").read_text(encoding="utf-8")
+    cases = []
+    for block in text.split("$ ")[1:]:
+        command, exit_line, rest = block.split("\n", 2)
+        out, err = rest.removeprefix("stdout:\n").split("stderr:\n")
+        cases.append(pytest.param(command.split(), int(exit_line.split()[1]), out, err,
+                                  id=command))
+    return cases
+
+
+@pytest.mark.parametrize("argv,code,out,err", _series_cli_cases())
+def test_series_output_is_pinned(capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_values_past_the_int_str_digit_limit_are_printed(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        code, out, err = run(capsys, "verify", "--expr", "s(n) == 10^4400",
+                             "--e-max", "0", "--n-max", "0")
+        assert sys.get_int_max_str_digits() == 4321   # restored on return
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (1, "")
+    assert out == (f"identity s(n) == 10^4400: FAILS e=0 r=0 n=0 lhs=0 rhs=1{'0' * 4400} "
+                   "checked=2\n")
+
+
+def test_undecodable_bfile_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0 0\n1 1 \xe9\n")
+    code, out, err = run(capsys, "oeis", "check", "stern", "--bfile", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not UTF-8 text (")
+    assert err.count("\n") == 1
+
+
+def test_undecodable_spec_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.spec"
+    path.write_bytes(b"a = 1\nname = caf\xe9\n")
+    code, out, err = run(capsys, "eval", str(path), "3")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not UTF-8 text (")
+    assert err.count("\n") == 1

@@ -10,7 +10,8 @@ from sternlike import (DivisionError, RangeError, UnknownCheckError, add,
                        check_named, compose_power, divide, first_mismatch,
                        mul, preset, scale, sequence_series, shift, sub,
                        truncate)
-from sternlike.series import LaurentSeries, from_coeffs, monomial
+from sternlike import series
+from sternlike.series import LaurentSeries, from_coeffs, monomial, zero
 
 from conftest import STERN_TERMS
 
@@ -31,6 +32,45 @@ def schoolbook_mul(f, g):
         for j, gc in enumerate(g.coeffs[:len(out) - i]):
             out[i + j] += fc * gc
     return LaurentSeries(val, tuple(out))
+
+
+def reference_divide(num, den):
+    """Reference quotient: long division over a dict of remainders, with
+    divide's order bookkeeping and error messages."""
+    vd = den.valuation()
+    if vd is None:
+        raise DivisionError("denominator is zero through its whole sound range")
+    vn = num.valuation()
+    if vn is None:
+        q_order = num.order - vd
+        q_val = num.val - vd
+        if q_order <= q_val:
+            raise DivisionError("quotient has no sound exponent range")
+        return zero(q_order, val=q_val)
+    if vn < vd:
+        raise DivisionError(
+            f"valuation mismatch: numerator starts at X^{vn}, denominator at X^{vd}"
+        )
+    q_val = vn - vd
+    q_order = min(num.order, den.order + q_val) - vd
+    if q_order <= q_val:
+        raise DivisionError("quotient has no sound exponent range")
+    lead = den.coefficient(vd)
+    rem = {e: num.coefficient(e) for e in range(vn, num.order)}
+    out = []
+    for k in range(q_val, q_order):
+        q_k, leftover = divmod(rem.get(vd + k, 0), lead)
+        if leftover:
+            raise DivisionError(
+                f"division step at X^{k} is not exact over the integers"
+            )
+        out.append(q_k)
+        if q_k:
+            for j in range(vd, min(den.order, num.order - k)):
+                dc = den.coefficient(j)
+                if dc:
+                    rem[j + k] = rem.get(j + k, 0) - q_k * dc
+    return LaurentSeries(q_val, tuple(out))
 
 
 def _outcome(fn, *args):
@@ -244,9 +284,8 @@ def test_mul_matches_schoolbook(f, g):
 @settings(deadline=None)
 @given(_series(), st.one_of(_unit_lead_series(), _series(_ZEROS)))
 def test_unit_lead_divide_matches_long_division(num, den):
-    # doubling both operands gives a lead of +-2, which divide can only
-    # handle by long division; every step stays exact, so the quotient and
-    # every error are the same
+    # doubling both operands gives a lead of +-2; every division step stays
+    # exact, so the quotient and every error are the same
     assert _outcome(divide, num, den) == _outcome(divide, scale(num, 2), scale(den, 2))
 
 
@@ -262,6 +301,31 @@ def test_divide_inverts_mul_for_unit_leads(data):
     tail = data.draw(st.lists(_COEFF, min_size=len(q.coeffs) - 1, max_size=40))
     d = LaurentSeries(data.draw(st.integers(-8, 8)), (lead, *tail))
     assert divide(mul(q, d), d) == q
+
+
+@st.composite
+def _division_operands(draw):
+    """(num, den) with arbitrary leads; num is often an exact multiple of den,
+    possibly scaled, so that quotients as well as errors come out."""
+    lead = draw(st.sampled_from((1, -1, 2, -2, 3, -3)) | _COEFF.filter(bool))
+    zeros = draw(st.integers(0, 3))
+    tail = draw(st.lists(_COEFF, max_size=30))
+    den = LaurentSeries(draw(st.integers(-8, 8)), (0,) * zeros + (lead, *tail))
+    den = draw(st.just(den) | _series(_ZEROS) | _series())
+    num = draw(_series())
+    if draw(st.booleans()) and den.valuation() is not None:
+        num = mul(num, den)
+    k = draw(st.sampled_from((1, 1, -1, 2, 3)))
+    return scale(num, k), den
+
+
+@settings(deadline=None, max_examples=300)
+@given(_division_operands())
+@example((from_coeffs([2, 1, 0]), from_coeffs([2, 0, 0])))
+@example((LaurentSeries(3, (0, 0)), LaurentSeries(-2, (0, 5, 1))))
+@example((LaurentSeries(0, (4, 6, 8, 1)), LaurentSeries(0, (2, 4))))
+def test_divide_matches_reference_long_division(operands):
+    assert _outcome(divide, *operands) == _outcome(reference_divide, *operands)
 
 
 def test_non_unit_lead_divide_keeps_exactness_error():
@@ -297,3 +361,75 @@ def test_check_bconj1_order_2_14():
     report = check_named("bconj1", order=1 << 14)
     assert report.holds
     assert report.artifacts["u_prefix"][:4] == (1, 0, -2, 0)
+
+
+def test_check_bconj2_bconj3_order_2_14():
+    report = check_named("bconj2", order=1 << 14)
+    assert report.holds
+    assert report.artifacts["a_prefix"] == (1, -2, 2, 0, -4, 4, 2, -6)
+    report = check_named("bconj3", order=1 << 14)
+    assert report.holds
+    assert report.artifacts["b_prefix"] == (-1, 2, 2, -4, 0, 0, -6, 6)
+
+
+def _quotient_form_bconj(name, order, e_max):
+    """bconj levels and artifact the direct way: Q = N(1)/S at the full order,
+    then L^e * N(2^e) against Q(X^(2^e)) * S at each level."""
+    terms, _, level_sign = series._BCONJ[name]
+
+    def numerator(m):
+        total = zero(order)
+        for sign, preset_name, multiple in terms:
+            term = sequence_series(preset(preset_name), multiple * m, order)
+            total = add(total, scale(term, sign))
+        return total
+
+    big = sequence_series(preset("stern"), 0, order)
+    quotient = divide(numerator(1), big)
+    levels = tuple(
+        (e, first_mismatch(scale(numerator(1 << e), level_sign ** e),
+                           mul(compose_power(quotient, 1 << e), big)))
+        for e in range(e_max + 1))
+    return levels, quotient.coeffs[:8]
+
+
+def _bconj_outcome(check, name, order, e_max):
+    try:
+        return check(name, order, e_max)
+    except DivisionError as exc:
+        return type(exc), str(exc)
+
+
+def _checked_bconj(name, order, e_max):
+    report = check_named(name, order=order, e_max=e_max)
+    assert report.params == {"e_max": e_max, "order": order}
+    assert all(lv.holds == (lv.first_bad_exponent is None) for lv in report.levels)
+    (artifact,) = report.artifacts.values()
+    return tuple((lv.level, lv.first_bad_exponent) for lv in report.levels), artifact
+
+
+# the real rows, the level sign flipped (odd levels fail), and every offset
+# multiple plus one (N(1) starts at X^0, so the quotient does not exist)
+_BCONJ_VARIANTS = {
+    "real": lambda terms, sign: (terms, sign),
+    "flipped_sign": lambda terms, sign: (terms, -sign),
+    "offset_plus_one": lambda terms, sign: (
+        tuple((s, p, m + 1) for s, p, m in terms), sign),
+}
+_BCONJ_SIZES = [(order, e_max) for order in (4, 5, 6, 7, 8, 9, 16, 33, 64, 256)
+                for e_max in range(7) if order >= 4 << e_max]
+
+
+@pytest.mark.parametrize("variant", _BCONJ_VARIANTS)
+@pytest.mark.parametrize("name", ["bconj1", "bconj2", "bconj3"])
+def test_bconj_matches_quotient_form(monkeypatch, name, variant):
+    terms, artifact, sign = series._BCONJ[name]
+    terms, sign = _BCONJ_VARIANTS[variant](terms, sign)
+    monkeypatch.setitem(series._BCONJ, name, (terms, artifact, sign))
+    failing_levels = 0
+    for order, e_max in _BCONJ_SIZES:
+        expected = _bconj_outcome(_quotient_form_bconj, name, order, e_max)
+        assert _bconj_outcome(_checked_bconj, name, order, e_max) == expected
+        if isinstance(expected[0], tuple):
+            failing_levels += sum(bad is not None for _, bad in expected[0])
+    assert (failing_levels > 0) == (variant == "flipped_sign")
