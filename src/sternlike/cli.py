@@ -45,8 +45,9 @@ def _cmd_table(args) -> int:
     if args.format == "bfile":
         sys.stdout.write(oeis.write_bfile(spec, getattr(args, "from"), args.to))
     else:
+        rows = oeis.table_rows(spec, getattr(args, "from"), args.to)
         print("n,value")
-        for n, v in oeis.table_rows(spec, getattr(args, "from"), args.to):
+        for n, v in rows:
             print(f"{n},{v}")
     return 0
 
@@ -71,11 +72,14 @@ def _cmd_verify(args) -> int:
     if args.expr is not None:
         identity = identities.parse_identity(args.expr)
         identity = identities.bind_presets(identity)
-        if args.n_min:
+        if args.n_min is not None:
             identity = replace(identity, n_min=args.n_min)
         label = args.expr
     else:
         identity = identities.catalog_entry(args.name)
+        if args.n_min is not None:
+            raise SternlikeError(f"--n-min applies only with --expr; {identity.name} "
+                                 f"has n_min = {identity.n_min}")
         label = identity.name
     verdict = identities.verify(identity, args.e_max, args.n_max, jobs=args.jobs)
     if verdict.holds:
@@ -173,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", help="identity text instead of a catalog name")
     p.add_argument("--e-max", type=int, default=6)
     p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--n-min", type=int, default=0,
-                   help="lower n bound for --expr identities")
+    p.add_argument("--n-min", type=int,
+                   help="lower n bound for --expr identities (default 0)")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 

@@ -11,10 +11,10 @@ Verification is exhaustive and exact over the grid
 
     0 <= e <= E,   0 <= r <= 2^e,   n_min <= n <= N
 
-scanned in lexicographic (e, r, n) order; a failing identity yields the
-lexicographically smallest counterexample, never an exception.  The grid
-may be sharded by e across worker processes; the reduced verdict is
-identical for any worker count.
+scanned in lexicographic (e, r, n) order; the first counterexample or
+evaluation error in that order decides, so a failing identity yields the
+lexicographically smallest counterexample.  The grid may be sharded by e
+across worker processes; the verdict is identical for any worker count.
 
 The catalog ships every identity this library asserts about the presets.
 Statements whose published closed form is questionable appear twice, as a
@@ -417,38 +417,35 @@ def check_instance(identity: Identity, e: int, r: int, n: int) -> tuple[int, int
     return lhs, rhs, lhs == rhs
 
 
-def _verify_level(identity: Identity, e: int, n_max: int) -> tuple[int, Counterexample | None]:
-    """Scan one e-level in lexicographic (r, n) order.
+def _n_range(identity: Identity, n_max: int) -> tuple[int, int]:
+    """n's inclusive range: [n_min, n_max], or n_min alone when n is not mentioned."""
+    return identity.n_min, (n_max if identity.uses_n else identity.n_min)
 
-    Returns the full level grid size and the level's first counterexample.
-    The scan stops at the first failure; the count stays the full grid so
-    verdicts are identical however levels are distributed over workers.
-    """
-    r_top = 1 << e
-    n_lo, n_hi = identity.n_min, (n_max if identity.uses_n else identity.n_min)
-    count = (r_top + 1) * (n_hi - n_lo + 1)
-    # every catalog index stays below 8x the level's count (5*2^e*n + r needs 5x)
-    fn = _compile(identity, e, 8 * count)
-    for r in range(r_top + 1):
+
+def _verify_level(task: tuple[Identity, int, int]) -> Counterexample | None:
+    """The first counterexample of one e-level in lexicographic (r, n) order."""
+    identity, e, n_max = task
+    n_lo, n_hi = _n_range(identity, n_max)
+    # every catalog index stays below 8x the level's grid (5*2^e*n + r needs 5x)
+    fn = _compile(identity, e, 8 * ((1 << e) + 1) * (n_hi - n_lo + 1))
+    for r in range((1 << e) + 1):
         for n in range(n_lo, n_hi + 1):
             lhs, rhs = fn(e, r, n)
             if lhs != rhs:
-                return count, Counterexample(e, r, n, lhs, rhs)
-    return count, None
-
-
-def _level_task(args: tuple[Identity, int, int]) -> tuple[int, Counterexample | None]:
-    return _verify_level(*args)
+                return Counterexample(e, r, n, lhs, rhs)
+    return None
 
 
 def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict:
     """Exhaustively check the identity on its grid; failures become verdicts.
 
-    `jobs > 1` shards e-levels over at most min(jobs, levels, CPUs) worker
-    processes; the reduced verdict (count and lexicographically least
-    counterexample) does not depend on the worker count.  Binding errors,
-    jobs < 1, e_max < 0 and, when the identity mentions n, n_max < n_min
-    raise before any level runs.
+    The first counterexample or error in lexicographic (e, r, n) order
+    decides, whatever the worker count: `jobs > 1` runs e-levels on at most
+    min(jobs, levels, CPUs) worker processes, and their results are read in
+    e order up to the first counterexample.  The count is the full grid,
+    sum over e <= e_max of (2^e + 1) * |n range|.  Binding errors, jobs < 1,
+    e_max < 0 and, when the identity mentions n, n_max < n_min raise before
+    any level runs.
     """
     _compile(identity, 0, 0)  # binding errors surface here, not in a worker
     if jobs < 1:
@@ -457,17 +454,16 @@ def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict
         raise RangeError(f"e_max must be >= 0, got {e_max}")
     if identity.uses_n and n_max < identity.n_min:
         raise RangeError(f"n_max must be >= n_min = {identity.n_min}, got {n_max}")
+    n_lo, n_hi = _n_range(identity, n_max)
+    count = ((2 << e_max) + e_max) * (n_hi - n_lo + 1)
     tasks = [(identity, e, n_max) for e in range(e_max + 1)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_level_task, tasks))
+            first = next(filter(None, pool.map(_verify_level, tasks)), None)
     else:
-        results = [_verify_level(*task) for task in tasks]
-    total = sum(count for count, _ in results)
-    worst = min((ce for _, ce in results if ce is not None),
-                key=lambda ce: (ce.e, ce.r, ce.n), default=None)
-    return Verdict(worst is None, total, worst)
+        first = next(filter(None, map(_verify_level, tasks)), None)
+    return Verdict(first is None, count, first)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +528,7 @@ _CATALOG_SOURCES: tuple[tuple[str, str, str, int, str], ...] = (
 )
 
 
-def generic_corollary(spec: SternLikeSpec, name: str | None = None,
-                      seq_symbol: str | None = None) -> Identity:
+def generic_corollary(spec: SternLikeSpec, name: str | None = None) -> Identity:
     """The coefficient-reference corollary, instantiated for any spec:
 
         A(e, r)*v(2n+3) + B(e, r)*v(2n+5) == c*v(2^e*(n+2)+r) + b*v(2^e*(n+1)+r)
@@ -541,7 +536,7 @@ def generic_corollary(spec: SternLikeSpec, name: str | None = None,
     with b, c taken from the spec, A/B resolved through its coefficient
     table, and n ranging from n0.
     """
-    symbol = seq_symbol or _REVERSE_ALIAS.get(spec.name or "", None)
+    symbol = _REVERSE_ALIAS.get(spec.name or "")
     if symbol is None:
         symbol = spec.name if spec.name and spec.name.isidentifier() else "v"
     if symbol in (*_VARIABLES, *_COEFF_NAMES):

@@ -61,14 +61,14 @@ def parse_bfile(text: str, source: str = "") -> BFileTable:
 def table_rows(spec: SternLikeSpec, lo: int, hi: int) -> list[tuple[int, int]]:
     """(n, v(n)) for lo <= n <= hi, leaving out the placeholder indices below 0
     and below the spec's output_min_index."""
+    if lo > hi:
+        raise RangeError(f"empty range: lo={lo} > hi={hi}")
     start = max(lo, spec.output_min_index, 0)
     return list(zip(range(start, hi + 1), eval_range(spec, start, hi))) if start <= hi else []
 
 
 def write_bfile(spec: SternLikeSpec, lo: int, hi: int) -> str:
     """Render the `table_rows` of v(lo)..v(hi) in b-file format."""
-    if lo > hi:
-        raise RangeError(f"empty range: lo={lo} > hi={hi}")
     return "".join(f"{n} {v}\n" for n, v in table_rows(spec, lo, hi))
 
 

@@ -419,11 +419,8 @@ _BCONJ = {
 
 
 def _numerator(terms: tuple[tuple[int, str, int], ...], m: int, order: int) -> LaurentSeries:
-    (sign, name, multiple), *rest = terms
-    total = sequence_series(preset(name), multiple * m, order)
-    if sign < 0:
-        total = scale(total, -1)
-    for sign, name, multiple in rest:
+    total = zero(order)
+    for sign, name, multiple in terms:
         term = sequence_series(preset(name), multiple * m, order)
         total = add(total, term) if sign > 0 else sub(total, term)
     return total
@@ -473,7 +470,8 @@ def check_named(name: str, order: int | None = None, e_max: int | None = None) -
     `order` is the truncation order M; `e_max` is the top scale level E
     (for coons_lemma8 it is the top product length K).  Defaults: order 256,
     e_max 5, and order 1024 for carlitz and sum_s.  A negative e_max raises
-    RangeError for every check with levels; carlitz ignores e_max.
+    RangeError for every check with levels; carlitz ignores e_max, and
+    coons_lemma8, whose order is 2^(K + 1), raises RangeError for any order.
     """
     if name not in _CHECKS:
         raise UnknownCheckError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
@@ -482,4 +480,6 @@ def check_named(name: str, order: int | None = None, e_max: int | None = None) -
         e_max = default_e_max
     elif e_max < 0 and default_e_max is not None:
         raise RangeError(f"e_max must be >= 0, got {e_max}")
+    if order is not None and default_order is None:
+        raise RangeError(f"{name} takes no order; its order is 2^(e_max + 1)")
     return run(default_order if order is None else order, e_max)

@@ -1,5 +1,6 @@
 """CLI subcommands and the 0/1/2 exit-code contract."""
 
+import shlex
 import sys
 
 import pytest
@@ -41,6 +42,12 @@ def test_table_bfile_matches_terms(capsys):
     assert code == 0
     values = [int(line.split()[1]) for line in out.splitlines()]
     assert values == STERN_TERMS
+
+
+@pytest.mark.parametrize("fmt", [(), ("--format", "bfile"), ("--format", "csv")])
+def test_table_rejects_an_empty_range_in_every_format(capsys, fmt):
+    code, out, err = run(capsys, "table", "stern", "--from", "5", "--to", "2", *fmt)
+    assert (code, out, err) == (2, "", "error: empty range: lo=5 > hi=2\n")
 
 
 def test_table_csv(capsys):
@@ -109,6 +116,12 @@ def test_verify_deep_expression_is_a_parse_error(capsys):
     code, out, err = run(capsys, "verify", "--expr", expr)
     assert (code, out) == (2, "")
     assert err == "error: expression nests deeper than 50 levels (at position 50)\n"
+
+
+def test_verify_n_min_applies_only_to_expr(capsys):
+    code, out, err = run(capsys, "verify", "prop1", "--n-min", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: --n-min applies only with --expr; prop1 has n_min = 0\n"
 
 
 def test_verify_requires_exactly_one_target(capsys):
@@ -260,21 +273,48 @@ def test_exit_code_mismatch_and_bad_bfile(capsys, tmp_path):
     assert run(capsys, "eval", str(bad_spec), "3")[0] == 2
 
 
-def _series_cli_cases():
-    """(argv, exit code, stdout, stderr) per `$ ...` block of the fixture."""
-    text = (FIXTURES / "series_cli.txt").read_text(encoding="utf-8")
+def _cli_cases(fixture):
+    """(argv, exit code, stdout, stderr) per `$ ...` block of a transcript
+    fixture; the command line is split with shell quoting rules."""
+    text = (FIXTURES / fixture).read_text(encoding="utf-8")
     cases = []
     for block in text.split("$ ")[1:]:
         command, exit_line, rest = block.split("\n", 2)
         out, err = rest.removeprefix("stdout:\n").split("stderr:\n")
-        cases.append(pytest.param(command.split(), int(exit_line.split()[1]), out, err,
+        cases.append(pytest.param(shlex.split(command), int(exit_line.split()[1]), out, err,
                                   id=command))
     return cases
 
 
-@pytest.mark.parametrize("argv,code,out,err", _series_cli_cases())
+@pytest.mark.parametrize("argv,code,out,err", _cli_cases("series_cli.txt"))
 def test_series_output_is_pinned(capsys, argv, code, out, err):
     assert run(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv,code,out,err", _cli_cases("verify_cli.txt"))
+def test_verify_output_is_pinned(capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("jobs", ["1", "4"])
+def test_verify_reports_a_counterexample_before_a_later_levels_error(capsys, jobs):
+    # s(2 - 2^e) fails at e = 0 and its index turns negative from e = 2 on
+    code, out, err = run(capsys, "verify", "--expr", "s(2 - 2^e) == 0",
+                         "--e-max", "3", "--n-max", "0", "--jobs", jobs)
+    assert (code, out, err) == (
+        1, "identity s(2 - 2^e) == 0: FAILS e=0 r=0 n=0 lhs=1 rhs=0 checked=19\n", "")
+
+
+@pytest.mark.parametrize("jobs", ["1", "4"])
+@pytest.mark.parametrize("expr,message", [
+    # each raises at e = 0 and has a counterexample at a later level
+    ("s(2^e - 2) == 1", "index of s(...) evaluated negative: -1"),
+    ("s(n) == 2^(e - 1)", "exponent evaluated negative: -1"),
+])
+def test_verify_error_that_comes_first_decides(capsys, jobs, expr, message):
+    code, out, err = run(capsys, "verify", "--expr", expr, "--e-max", "3", "--n-max", "2",
+                         "--jobs", jobs)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_values_past_the_int_str_digit_limit_are_printed(capsys):

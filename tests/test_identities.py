@@ -66,6 +66,24 @@ def test_parse_rejects(bad):
         parse_identity(bad)
 
 
+def test_tokenizer_reports_an_unexpected_character_with_its_position():
+    with pytest.raises(ParseError) as err:
+        parse_identity("s(n) == s(n) $")
+    assert str(err.value) == "unexpected character '$' (at position 13)"
+    assert err.value.position == 13
+
+
+def test_tokenizer_skips_trailing_whitespace():
+    ident = bind_presets(parse_identity("s(n) == s(n)   "))
+    assert verify(ident, 2, 3).holds
+
+
+def test_coefficient_reference_inside_an_index_is_rejected():
+    with pytest.raises(ParseError, match=r"^coefficient reference A\(\.\.\.\) cannot "
+                                         r"appear inside an index expression$"):
+        parse_identity("s(A(e, r)) == 0")
+
+
 def test_printer_parser_fixpoint_for_catalog():
     for entry in catalog():
         again = parse_identity(entry.text)
@@ -219,6 +237,78 @@ def test_verify_rejects_an_empty_n_range(name, n_max):
 def test_verify_pins_n_for_identities_without_n():
     entry = catalog_entry("stern_reflect")
     assert verify(entry, 4, -3) == verify(entry, 4, entry.n_min) == verify(entry, 4, 99)
+
+
+def reference_verify(identity, e_max, n_max):
+    """The grid walked in lexicographic (e, r, n) order, one `check_instance`
+    per point, stopping at the first mismatch or exception; the count is the
+    full grid."""
+    n_hi = n_max if identity.uses_n else identity.n_min
+    points = [(e, r, n) for e in range(e_max + 1) for r in range((1 << e) + 1)
+              for n in range(identity.n_min, n_hi + 1)]
+    for e, r, n in points:
+        lhs, rhs, ok = check_instance(identity, e, r, n)
+        if not ok:
+            return identities.Verdict(False, len(points), Counterexample(e, r, n, lhs, rhs))
+    return identities.Verdict(True, len(points))
+
+
+def _outcome(run, *args, **kwargs):
+    try:
+        return run(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+# true identities, each perturbed below by a difference of two terms whose
+# indices may coincide, differ or turn negative somewhere in the grid; the
+# second index is random, or the first plus a summand that vanishes on the
+# early levels or at r = 0 or n = 0
+_BASES = (
+    ("s", "s(2^e*n + r) == s(r)*s(n + 1) + s(2^e - r)*s(n)"),
+    ("s", "s(2^e + r) - s(r) == s(2^e - r)"),
+    ("t", "t(2^(e + 1) + r) + t(2^e + r) == t(3*2^e - r)"),
+    ("z1", "z1(2^e*n + r) == A(e, r)*z1(n) + B(e, r)*z1(n + 1)"),
+    ("z3", "A(e, r)*z3(2*n + 3) + B(e, r)*z3(2*n + 5)"
+           " == z3(2^e*(n + 2) + r) + z3(2^e*(n + 1) + r)"),
+)
+_INDEX_ATOMS = ("2^e*n", "2^e", "r", "n", "1")
+_VANISHING = ("r*n", "n*(2^e - 1)", "r*(2^e - 2)", "(2^e - 1)*(2^e - 2)", "r*(r - 1)")
+
+
+def _random_index(rng):
+    parts = []
+    for atom in rng.sample(_INDEX_ATOMS, rng.randint(1, 3)):
+        k = rng.randint(-1, 3)
+        parts.append(f"{k}*{atom}" if k >= 0 else f"(0 - {-k})*{atom}")
+    return " + ".join(parts)
+
+
+def _random_identity(rng):
+    seq, text = rng.choice(_BASES)
+    if rng.random() < 0.8:
+        first = _random_index(rng)
+        second = rng.choice((_random_index(rng), f"{first} + {rng.choice(_VANISHING)}"))
+        text += f" + {rng.randint(1, 3)}*({seq}({first}) - {seq}({second}))"
+    return replace(bind_presets(parse_identity(text)), n_min=rng.choice((0, 0, 1)))
+
+
+def test_verify_is_the_first_event_of_the_lexicographic_scan():
+    rng = random.Random(20261018)
+    kinds = set()
+    for case in range(150):
+        ident = _random_identity(rng)
+        e_max = rng.randint(0, 3)
+        n_max = rng.randint(ident.n_min, 6)
+        expected = _outcome(reference_verify, ident, e_max, n_max)
+        assert _outcome(verify, ident, e_max, n_max) == expected, (ident.text, e_max, n_max)
+        # the pool path too, wherever a later level could run or raise
+        later_levels = (not isinstance(expected, tuple) and not expected.holds
+                        and expected.counterexample.e < e_max)
+        if later_levels or case % 15 == 0:
+            assert _outcome(verify, ident, e_max, n_max, jobs=2) == expected, ident.text
+        kinds.add(expected[0] if isinstance(expected, tuple) else expected.holds)
+    assert kinds == {True, False, DomainError}
 
 
 def test_variant_families_follow_the_catalog():

@@ -94,6 +94,8 @@ def test_eval_range_singleton_and_errors():
     assert eval_range(preset("stern"), 5, 5) == [3]
     with pytest.raises(RangeError):
         eval_range(preset("stern"), 3, 2)
+    with pytest.raises(DomainError, match=r"^sequence index must be >= 0, got -1$"):
+        eval_range(preset("stern"), -1, 2)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

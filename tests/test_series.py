@@ -420,6 +420,17 @@ _BCONJ_SIZES = [(order, e_max) for order in (4, 5, 6, 7, 8, 9, 16, 33, 64, 256)
                 for e_max in range(7) if order >= 4 << e_max]
 
 
+@pytest.mark.parametrize("name", ["bconj1", "bconj2", "bconj3"])
+def test_failing_check_reports_its_first_bad_exponent(monkeypatch, name):
+    terms, artifact, sign = series._BCONJ[name]
+    monkeypatch.setitem(series._BCONJ, name, (terms, artifact, -sign))
+    report = check_named(name, order=64, e_max=3)
+    assert [(lv.level, lv.first_bad_exponent) for lv in report.levels] == [
+        (0, None), (1, 1), (2, None), (3, 1)]
+    assert (report.holds, report.first_bad_exponent) == (False, 1)
+    assert report.summary() == f"check {name} (e_max=3, order=64): FAILS at X^1"
+
+
 @pytest.mark.parametrize("variant", _BCONJ_VARIANTS)
 @pytest.mark.parametrize("name", ["bconj1", "bconj2", "bconj3"])
 def test_bconj_matches_quotient_form(monkeypatch, name, variant):

@@ -62,6 +62,10 @@ def test_saturation_detects_short_prefixes():
     # a deliberately tiny prefix factor must trip the saturation check
     report = verify_y_preset(32, prefix_factor=2)
     assert report.unsaturated
+    assert not report.ok
+    assert report.summary() == (
+        "15 mismatches: ((18, 47, 52), (19, 46, 56), (20, 45, 60)); "
+        "unsaturated lengths: (18, 19, 20, 21, 22, 23, 24, 25, 26, 27)")
 
 
 @st.composite
