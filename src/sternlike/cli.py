@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / identity holds; 1 = a counterexample or mismatch
 was found; 2 = usage, parse, or spec errors, and input files that are
-not UTF-8 text.
+not UTF-8 text; 3 = a crash (any other exception), with its traceback on
+stderr.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from dataclasses import replace
 
 from . import identities, linrep, oeis, series, tm_oracle
@@ -238,6 +240,10 @@ def _main(argv: list[str] | None) -> int:
     except (SternlikeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # a crash must not read as exit 1, a counterexample
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

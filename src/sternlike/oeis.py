@@ -60,11 +60,13 @@ def parse_bfile(text: str, source: str = "") -> BFileTable:
 
 def table_rows(spec: SternLikeSpec, lo: int, hi: int) -> list[tuple[int, int]]:
     """(n, v(n)) for lo <= n <= hi, leaving out the placeholder indices below 0
-    and below the spec's output_min_index."""
+    and below the spec's output_min_index; RangeError if that leaves none."""
     if lo > hi:
         raise RangeError(f"empty range: lo={lo} > hi={hi}")
     start = max(lo, spec.output_min_index, 0)
-    return list(zip(range(start, hi + 1), eval_range(spec, start, hi))) if start <= hi else []
+    if start > hi:
+        raise RangeError(f"empty range: {spec.label()} starts at n={start} > hi={hi}")
+    return list(zip(range(start, hi + 1), eval_range(spec, start, hi)))
 
 
 def write_bfile(spec: SternLikeSpec, lo: int, hi: int) -> str:

@@ -12,6 +12,8 @@ Order bookkeeping is sound, never optimistic:
     compose_power:  order = m * order      (X -> X^m)
     shift:          order = order + d      (multiply by X^d)
 
+Every read by exponent goes through one window rule (`_window`): zeros
+below `val`, the stored coefficients up to `order`, and RangeError past it.
 Comparisons only ever look at exponents both operands are sound for;
 asking beyond that is a harness bug, not a silent pass.
 
@@ -75,13 +77,7 @@ class LaurentSeries:
 
     def coefficient(self, exponent: int) -> int:
         """Exact coefficient of X^exponent; RangeError at or past the order."""
-        if exponent >= self.order:
-            raise RangeError(
-                f"coefficient of X^{exponent} is beyond the sound order {self.order}"
-            )
-        if exponent < self.val:
-            return 0
-        return self.coeffs[exponent - self.val]
+        return _window(self, exponent, exponent + 1)[0]
 
     def valuation(self) -> int | None:
         """Lowest exponent with a nonzero stored coefficient, None if all zero."""
@@ -90,17 +86,15 @@ class LaurentSeries:
                 return self.val + i
         return None
 
-    def __str__(self):
-        terms = []
-        for i, coeff in enumerate(self.coeffs):
-            if coeff:
-                e = self.val + i
-                if e == 0:
-                    terms.append(f"{coeff}")
-                else:
-                    terms.append(f"{coeff}*X^{e}" if e != 1 else f"{coeff}*X")
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} + O(X^{self.order})"
+
+def _window(f: LaurentSeries, lo: int, hi: int) -> list[int]:
+    """Coefficients of X^lo .. X^(hi - 1): exact zeros below f.val, the stored
+    ones above it; RangeError if the window reaches X^(f.order)."""
+    if hi > f.order:
+        raise RangeError(f"coefficient of X^{hi - 1} is beyond the sound order {f.order}")
+    out = [0] * (min(f.val, hi) - lo)
+    out += f.coeffs[max(lo - f.val, 0):max(hi - f.val, 0)]
+    return out
 
 
 def from_coeffs(values: Iterable[int], val: int = 0, order: int | None = None) -> LaurentSeries:
@@ -145,25 +139,13 @@ def sub(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
 def _combine(f: LaurentSeries, g: LaurentSeries, sign: int) -> LaurentSeries:
     val = min(f.val, g.val)
     order = min(f.order, g.order)
-    if order <= val:
-        raise RangeError("operands have no common sound exponent range")
-    out = [0] * (order - val)
-    for i, coeff in enumerate(f.coeffs):
-        e = f.val + i
-        if e < order:
-            out[e - val] += coeff
-    for i, coeff in enumerate(g.coeffs):
-        e = g.val + i
-        if e < order:
-            out[e - val] += sign * coeff
-    return LaurentSeries(val, tuple(out))
+    return LaurentSeries(val, tuple(
+        fc + sign * gc for fc, gc in zip(_window(f, val, order), _window(g, val, order))))
 
 
 def mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     val = f.val + g.val
     order = min(f.order + g.val, g.order + f.val)
-    if order <= val:
-        raise RangeError("product has no sound exponent range")
     return LaurentSeries(val, tuple(_kronecker(f.coeffs, g.coeffs, order - val)))
 
 
@@ -257,8 +239,8 @@ def divide(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
             f"valuation mismatch: numerator starts at X^{vn}, denominator at X^{vd}"
         )
     q_val = vn - vd
-    rem = list(num.coeffs[vn - num.val:])
-    d = den.coeffs[vd - den.val:]
+    rem = _window(num, vn, num.order)
+    d = _window(den, vd, den.order)
     out = []
     for k in range(min(len(rem), len(d))):
         q_k, leftover = divmod(rem[k], d[0])
@@ -275,21 +257,13 @@ def divide(num: LaurentSeries, den: LaurentSeries) -> LaurentSeries:
 
 def first_mismatch(f: LaurentSeries, g: LaurentSeries) -> int | None:
     """Smallest exponent where f and g differ, over the shared sound range."""
-    if f.val > g.val:
-        f, g = g, f
+    val = min(f.val, g.val)
     order = min(f.order, g.order)
-    split = min(g.val, order)
-    # below g.val, g is exactly zero
-    for i, coeff in enumerate(f.coeffs[:split - f.val]):
-        if coeff:
-            return f.val + i
-    if split < order:
-        fs = f.coeffs[split - f.val:order - f.val]
-        gs = g.coeffs[:order - g.val]
-        if fs != gs:
-            for i, (fc, gc) in enumerate(zip(fs, gs)):
-                if fc != gc:
-                    return split + i
+    fs, gs = _window(f, val, order), _window(g, val, order)
+    if fs != gs:
+        for i, (fc, gc) in enumerate(zip(fs, gs)):
+            if fc != gc:
+                return val + i
     return None
 
 
@@ -300,8 +274,11 @@ def first_mismatch(f: LaurentSeries, g: LaurentSeries) -> int | None:
 @dataclass(frozen=True)
 class LevelResult:
     level: int
-    holds: bool
     first_bad_exponent: int | None
+
+    @property
+    def holds(self) -> bool:
+        return self.first_bad_exponent is None
 
 
 @dataclass(frozen=True)
@@ -335,10 +312,6 @@ class CheckReport:
         return f"check {self.name} ({args}): {status}"
 
 
-def _level(level: int, bad: int | None) -> LevelResult:
-    return LevelResult(level, bad is None, bad)
-
-
 def _require_depth(e_max: int, order: int) -> None:
     # each level needs a meaningful stretch of coefficients to compare
     if order < 4 * (1 << e_max):
@@ -364,8 +337,8 @@ def _check_sum_s(order: int, e_max: int) -> CheckReport:
             coeffs[p + r] += sval[p - r]    # X^r
         bracket = from_coeffs(coeffs, val=-p, order=order + 1)
         product = mul(comp, bracket)
-        residues[e] = [product.coefficient(j) for j in range(product.val, 0)]
-        levels.append(_level(e, first_mismatch(product, full)))
+        residues[e] = _window(product, product.val, 0)
+        levels.append(LevelResult(e, first_mismatch(product, full)))
     return CheckReport("sum_s", {"e_max": e_max, "order": order}, tuple(levels),
                        {"negative_exponent_residues": residues})
 
@@ -378,7 +351,7 @@ def _check_carlitz(order: int, e_max: int | None) -> CheckReport:
     lhs = mul(from_coeffs([1, 1, 1], order=order + 3), compose_power(half, 2))
     rhs = shift(sequence_series(s, 0, order + 1), 1)
     bad = first_mismatch(truncate(lhs, order), truncate(rhs, order))
-    return CheckReport("carlitz", {"order": order}, (_level(0, bad),))
+    return CheckReport("carlitz", {"order": order}, (LevelResult(0, bad),))
 
 
 def _check_coons_lemma8(order: int | None, k_max: int) -> CheckReport:
@@ -398,7 +371,7 @@ def _check_coons_lemma8(order: int | None, k_max: int) -> CheckReport:
             rhs[n] += sval[n]
         for n in range(1, 1 << k):
             rhs[n + (1 << k)] += sval[(1 << k) - n]
-        levels.append(_level(k, first_mismatch(lhs, from_coeffs(rhs))))
+        levels.append(LevelResult(k, first_mismatch(lhs, from_coeffs(rhs))))
     return CheckReport("coons_lemma8", {"k_max": k_max, "order": 1 << (k_max + 1)},
                        tuple(levels))
 
@@ -447,7 +420,7 @@ def _check_bconj(name: str, order: int, e_max: int) -> CheckReport:
             lhs = scale(lhs, -1)
         rhs = mul(compose_power(truncate(first, stretch), p), truncate(big, reach))
         bad = first_mismatch(lhs, rhs)
-        levels.append(_level(e, None if bad is None else bad - p))
+        levels.append(LevelResult(e, None if bad is None else bad - p))
     return CheckReport(name, {"e_max": e_max, "order": order}, tuple(levels),
                        {artifact: quotient.coeffs[:8]})
 

@@ -1,10 +1,11 @@
-"""CLI subcommands and the 0/1/2 exit-code contract."""
+"""CLI subcommands and the 0/1/2/3 exit-code contract."""
 
 import shlex
 import sys
 
 import pytest
 
+from sternlike import cli, oeis
 from sternlike.cli import main
 
 from conftest import FIXTURES, STERN_TERMS
@@ -294,6 +295,36 @@ def test_series_output_is_pinned(capsys, argv, code, out, err):
 @pytest.mark.parametrize("argv,code,out,err", _cli_cases("verify_cli.txt"))
 def test_verify_output_is_pinned(capsys, argv, code, out, err):
     assert run(capsys, *argv) == (code, out, err)
+
+
+def _no_fetch(a_number):
+    raise AssertionError(f"network access for {a_number}")
+
+
+@pytest.mark.parametrize("argv,code,out,err", _cli_cases("table_cli.txt"))
+def test_table_and_oeis_edge_cases_are_pinned(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setattr(oeis, "fetch_bfile", _no_fetch)
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_a_crash_exits_3_with_its_traceback(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_catalog", crash)
+    code, out, err = run(capsys, "catalog")
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("\nRuntimeError: boom\n")
+
+
+def test_keyboard_interrupt_is_not_caught(monkeypatch):
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_catalog", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["catalog"])
 
 
 @pytest.mark.parametrize("jobs", ["1", "4"])

@@ -349,6 +349,17 @@ def test_first_mismatch_matches_coefficient_scan(f, dval, length, at, delta):
     assert first_mismatch(g, f) == expected
 
 
+@settings(deadline=None)
+@given(_series(), _series(), st.sampled_from((add, sub)))
+@example(LaurentSeries(-3, (7,)), LaurentSeries(2, (0, 0, 0)), sub)
+def test_add_sub_match_coefficient_sums(f, g, op):
+    sign = 1 if op is add else -1
+    h = op(f, g)
+    assert (h.val, h.order) == (min(f.val, g.val), min(f.order, g.order))
+    assert [h.coefficient(e) for e in range(h.val, h.order)] == [
+        f.coefficient(e) + sign * g.coefficient(e) for e in range(h.val, h.order)]
+
+
 def test_check_carlitz_order_2_16():
     assert check_named("carlitz", order=1 << 16).holds
 
