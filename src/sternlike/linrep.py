@@ -12,9 +12,15 @@ level by level:
     B(e+1, 2r+1) = b * B(e, r) + c * B(e, r+1)
 
 Equivalently, the pair state (v(k), v(k+1)) is advanced along the binary
-digits of the index by two fixed 2x2 integer matrices, which makes any term
-computable in O(log n) exact matrix steps and exhibits the sequence as
-2-regular.
+digits of the index by two fixed 2x2 integer matrices, which exhibits the
+sequence as 2-regular: v(n) is the first coordinate of the product of n's
+digit matrices applied to a base state.  `LinearRepresentation.evaluate`
+replays the digits on the state one at a time for indices of up to a few
+thousand bits.  Above that the state's integers grow with every step, which
+makes the replay quadratic, so it multiplies the digit matrices in a
+balanced product tree instead (Bernstein, "Fast multiplication and its
+applications", 2008): the same exact product from a few large, Karatsuba-
+sized multiplications.
 """
 
 from __future__ import annotations
@@ -108,7 +114,7 @@ def transition_matrices(spec: SternLikeSpec) -> MatrixPair:
 
 
 def eval_fast(spec: SternLikeSpec, n: int) -> int:
-    """v(n) in O(log n) by replaying its bits through the linear representation."""
+    """v(n) through the linear representation: O(log n) matrix steps."""
     return linear_representation(spec).evaluate(n)
 
 
@@ -144,6 +150,50 @@ def recover_coefficients(spec: SternLikeSpec, e: int, r: int,
     return a_val, b_val
 
 
+# `evaluate` replays fewer than this many digits one at a time and
+# multiplies longer runs in a product tree.  Measured on a 2-vCPU VM
+# (Python 3.11, three random indices per preset, best of 40 calls), the
+# tree takes 2.4x the replay's time at 40 bits, 1.17x at 1024, 1.00x at
+# 2048, 0.83x at 3072 and 0.70x at 4096 bits.
+_TREE_MIN_DIGITS = 2048
+# digits per leaf of the product tree; a leaf's entries stay small
+_CHUNK_DIGITS = 16
+
+
+def _replay(matrices: MatrixPair, digits: str, x: int, y: int) -> tuple[int, int]:
+    """Advance the column state (x, y) along `digits`, most-significant first."""
+    (a00, a01), (a10, a11) = matrices.m0
+    (b00, b01), (b10, b11) = matrices.m1
+    for bit in digits:
+        if bit == "1":
+            x, y = b00 * x + b01 * y, b10 * x + b11 * y
+        else:
+            x, y = a00 * x + a01 * y, a10 * x + a11 * y
+    return x, y
+
+
+def _digit_product(matrices: MatrixPair, digits: str) -> tuple[int, int, int, int]:
+    """The product M_dk ... M_d1 of the matrices of digits d1..dk (d1 the
+    most significant), flattened row by row; needs at least one digit.
+
+    Each `_CHUNK_DIGITS`-digit chunk's product is replayed on its two
+    columns, then neighbouring products are multiplied pairwise, later
+    digits on the left, until one is left: a balanced product tree, whose
+    entries only get large in its last few levels.
+    """
+    level = []
+    for start in range(0, len(digits), _CHUNK_DIGITS):
+        chunk = digits[start:start + _CHUNK_DIGITS]
+        p, r = _replay(matrices, chunk, 1, 0)
+        q, s = _replay(matrices, chunk, 0, 1)
+        level.append((p, q, r, s))
+    while len(level) > 1:
+        paired = [(p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h)
+                  for (e, f, g, h), (p, q, r, s) in zip(level[::2], level[1::2])]
+        level = paired + level[-1:] if len(level) % 2 else paired
+    return level[0]
+
+
 @dataclass(frozen=True)
 class LinearRepresentation:
     """Everything an external consumer needs to evaluate the sequence.
@@ -157,25 +207,28 @@ class LinearRepresentation:
     matrices: MatrixPair
 
     def evaluate(self, n: int) -> int:
-        """Replay n's binary digits, most-significant first, using only the exported data."""
+        """v(n) from the exported data alone: the base state at n's top bits,
+        advanced along the digits below them, most-significant first.
+
+        Below `_TREE_MIN_DIGITS` digits the state is replayed one digit at a
+        time; from there on the digits' matrices are multiplied in a balanced
+        product tree (`_digit_product`) that is then applied to the state.
+        """
         if n < 0:
             raise DomainError(f"sequence index must be >= 0, got {n}")
         # the base index is n's top bits: the smallest shift j with n >> j
-        # below len(base_states); the j digits under it are replayed
+        # below len(base_states); the j digits under it advance its state
         size = len(self.base_states)
         j = max(0, n.bit_length() - size.bit_length())
         if n >> j >= size:
             j += 1
         x, y = self.base_states[n >> j]
-        (a00, a01), (a10, a11) = self.matrices.m0
-        (b00, b01), (b10, b11) = self.matrices.m1
         digits = format(n, "b")
-        for bit in digits[len(digits) - j:]:
-            if bit == "1":
-                x, y = b00 * x + b01 * y, b10 * x + b11 * y
-            else:
-                x, y = a00 * x + a01 * y, a10 * x + a11 * y
-        return x
+        digits = digits[len(digits) - j:]
+        if j < _TREE_MIN_DIGITS:
+            return _replay(self.matrices, digits, x, y)[0]
+        p, q, _, _ = _digit_product(self.matrices, digits)
+        return p * x + q * y
 
     def render(self) -> str:
         """Stable, diff-friendly plain-text export (`key value...` lines)."""

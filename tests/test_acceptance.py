@@ -107,6 +107,11 @@ def test_criterion_4_fast_direct_equivalence():
             for _ in range(1000):
                 n = rng.randrange(2**40)
                 assert eval_fast(spec, n) == eval_direct(spec, n)
+            # huge indices, where the fast path multiplies in a product tree
+            for _ in range(3):
+                bits = rng.randint(4096, 16384)
+                n = rng.getrandbits(bits) | 1 << (bits - 1)
+                assert eval_fast(spec, n) == eval_direct(spec, n)
 
 
 def test_criterion_5_series_suite():

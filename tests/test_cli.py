@@ -1,5 +1,6 @@
 """CLI subcommands and the 0/1/2/3 exit-code contract."""
 
+import random
 import shlex
 import sys
 
@@ -29,6 +30,18 @@ def test_eval_direct_deep_index(capsys):
     direct = run(capsys, "eval", "stern", n, "--direct")
     assert direct == (0, "3596\n", "")
     assert direct == run(capsys, "eval", "stern", n, "--fast")
+
+
+def test_eval_huge_decimal_index_fast_and_direct_agree(capsys):
+    # about 20000 bits in 6021 decimal digits: past the int/str digit limit,
+    # and past the size where the fast path multiplies in a product tree
+    rng = random.Random(20_000)
+    n = rng.choice("123456789") + "".join(rng.choices("0123456789", k=6020))
+    fast = run(capsys, "eval", "tm_complexity_shift", n, "--fast")
+    code, out, err = fast
+    assert (code, err) == (0, "")
+    assert out.strip().lstrip("-").isdigit()
+    assert fast == run(capsys, "eval", "tm_complexity_shift", n, "--direct")
 
 
 def test_eval_spec_file(capsys, tmp_path):

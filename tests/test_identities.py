@@ -4,6 +4,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sternlike import (DomainError, ParseError, RangeError,
                        UnknownIdentityError, catalog, catalog_entry,
@@ -390,3 +392,23 @@ def test_render_round_trip_random_texts():
         second = parse_identity(first.text)
         assert (first.lhs, first.rhs) == (second.lhs, second.rhs)
         assert render(first.lhs) == render(second.lhs)
+
+
+_GRAMMAR_CHARS = "svzABern0123()+-*^=, \t"
+
+
+@st.composite
+def _edited_catalog_texts(draw):
+    """A catalog identity's text with one slice replaced by grammar characters."""
+    text = draw(st.sampled_from([identity.text for identity in catalog()]))
+    start = draw(st.integers(0, len(text)))
+    stop = draw(st.integers(start, len(text)))
+    return text[:start] + draw(st.text(alphabet=_GRAMMAR_CHARS, max_size=8)) + text[stop:]
+
+
+@given(st.one_of(st.text(), st.text(alphabet=_GRAMMAR_CHARS), _edited_catalog_texts()))
+def test_parse_identity_raises_only_parse_errors(text):
+    try:
+        parse_identity(text)
+    except ParseError:
+        pass

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sternlike import linrep, recurrence
 from sternlike import (RangeError, SingularSystemError, coeff_table, coeffs,
                        eval_direct, eval_fast, linear_representation, preset,
                        recover_coefficients, transition_matrices)
@@ -106,6 +107,23 @@ def test_eval_fast_equals_eval_direct(name):
     for _ in range(200):
         n = rng.randrange(2**40)
         assert eval_fast(spec, n) == eval_direct(spec, n)
+
+
+def test_evaluate_calls_no_descent(monkeypatch):
+    # the fast path must stay code-disjoint from the descent it is checked against
+    spec = preset("tm_complexity_shift")
+    n = random.Random(10_000).getrandbits(10_000) | 1 << 9_999
+    expected = eval_direct(spec, n)
+
+    def refuse(*args):
+        raise AssertionError("evaluate called into the descent")
+
+    for module, name in ((recurrence, "_descent"), (recurrence, "_term"),
+                         (recurrence, "evaluator"), (linrep, "_descent"),
+                         (linrep, "evaluator")):
+        monkeypatch.setattr(module, name, refuse)
+    assert linear_representation(spec).evaluate(n) == expected
+    assert eval_fast(spec, n) == expected
 
 
 def test_recover_coefficients_examples():

@@ -1,9 +1,13 @@
 """B-file parsing/writing and sequence cross-checks."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from sternlike import BFileError, crosscheck, parse_bfile, preset, write_bfile
+from sternlike import (BFileError, RangeError, crosscheck, eval_direct,
+                       parse_bfile, preset, write_bfile)
 from sternlike.oeis import PRESET_OEIS_IDS, bfile_url
+from sternlike.recurrence import PRESET_NAMES
 from sternlike.tm_oracle import factor_complexity, thue_morse_prefix
 
 from conftest import STERN_TERMS
@@ -37,6 +41,24 @@ def test_write_parse_round_trip():
         table = parse_bfile(text)
         assert write_bfile(spec, 0, 64) == "".join(
             f"{i} {v}\n" for i, v in table.records)
+
+
+@given(st.sampled_from(PRESET_NAMES), st.integers(-3, 300), st.integers(0, 300))
+@example("josephus", 0, 0)
+def test_write_parse_crosscheck_round_trip(name, lo, width):
+    spec = preset(name)
+    hi = lo + width
+    start = max(lo, spec.output_min_index, 0)
+    if start > hi:   # nothing left to write, e.g. josephus 0..0
+        with pytest.raises(RangeError):
+            write_bfile(spec, lo, hi)
+        return
+    text = write_bfile(spec, lo, hi)
+    table = parse_bfile(text)
+    assert table.records == tuple((n, eval_direct(spec, n)) for n in range(start, hi + 1))
+    assert "".join(f"{n} {v}\n" for n, v in table.records) == text
+    report = crosscheck(spec, table)
+    assert (report.ok, report.checked, report.skipped) == (True, hi - start + 1, 0)
 
 
 def test_write_bfile_honors_output_min_index():

@@ -11,6 +11,7 @@ from sternlike import (DomainError, RangeError, SpecError, UnknownPresetError,
                        coeff_at, coeff_table, coeffs, eval_direct, eval_fast,
                        eval_range, linear_representation, make_spec,
                        parse_spec_text, preset)
+from sternlike.linrep import _CHUNK_DIGITS, _TREE_MIN_DIGITS
 from sternlike.recurrence import PRESET_NAMES, prefix
 
 from conftest import STERN_TERMS, TWISTED_TERMS
@@ -145,6 +146,26 @@ def test_prefix_descent_and_replay_agree(spec, far, e):
     for level in range(e + 1):
         for r in range(2**level + 1):
             assert coeff_at(spec, level, r) == coeffs(table, level, r)
+
+
+# replayed digit counts j: j = 0 (n is a base index), and whole multiples of
+# the tree's leaf width, one digit less and one more, on both sides of the
+# crossover from replay to product tree
+_REPLAYED_DIGITS = [0] + sorted({k + d for k in (_TREE_MIN_DIGITS - _CHUNK_DIGITS,
+                                                 _TREE_MIN_DIGITS,
+                                                 _TREE_MIN_DIGITS + _CHUNK_DIGITS)
+                                 for d in (-1, 0, 1)})
+
+
+@settings(deadline=None)
+@given(_specs(), st.sampled_from(_REPLAYED_DIGITS), st.data())
+def test_evaluate_equals_descent_around_the_tree_crossover(spec, j, data):
+    rep = linear_representation(spec)
+    size = len(rep.base_states)
+    # n >> j is a base index and n >> (j - 1) is not: exactly j digits are replayed
+    lo = size << (j - 1) if j else 0
+    n = data.draw(st.integers(lo, (size << j) - 1))
+    assert rep.evaluate(n) == eval_direct(spec, n)
 
 
 @given(_specs())
