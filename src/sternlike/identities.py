@@ -16,6 +16,15 @@ evaluation error in that order decides, so a failing identity yields the
 lexicographically smallest counterexample.  The grid may be sharded by e
 across worker processes; the verdict is identical for any worker count.
 
+Each identity is compiled, once per `verify`, into a kernel that scans one
+e-level with the r and n loops in the generated code.  Subtrees that mention
+neither r nor n (such as 2^e) are computed once per level, subtrees that
+mention r but not n (such as s(r), s(2^e - r), A(e, r)) once per row, and
+only the rest per instance; term reads index the level's prefix inline.
+When a hoisted value raises, the first instance of its level or row is
+replayed left to right, so the error reported is the one the scan meets
+first.
+
 The catalog ships every identity this library asserts about the presets.
 Statements whose published closed form is questionable appear twice, as a
 `printed` variant (the closed form, verbatim reading) and a `derived`
@@ -29,7 +38,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, ParseError, RangeError, UnknownIdentityError
@@ -360,9 +369,26 @@ def _int_pow(base: int, exp: int) -> int:
     return base ** exp
 
 
-def _emit(node: Node, seq_slot: dict[str, str]) -> str:
+# A subtree's stage is the innermost loop it needs: 0 when it mentions neither
+# r nor n, 1 when it mentions r but not n, 2 when it mentions n.
+_STAGES = {"e": 0, "r": 1, "n": 2}
+
+
+def _stage(node: Node) -> int:
+    return max((_STAGES[sub.name] for sub in _walk(node) if isinstance(sub, Var)), default=0)
+
+
+def _emit(node: Node, slot: dict[str, int], hoist: Callable[[Node, int], str] | None = None,
+          ctx: int = 2) -> str:
+    """Python source for `node`.  Without `hoist`, a term calls its lookup
+    `_f<slot>`.  With it, the kernel's form: a term reads the prefix `_v<slot>`
+    inline while the index is below `_m<slot>` and calls `_f<slot>` otherwise,
+    and every subtree other than a literal or variable whose stage is below
+    `ctx` becomes the name `hoist(subtree, stage)` returns."""
+    if hoist is not None and not isinstance(node, (Lit, Var)) and (stage := _stage(node)) < ctx:
+        return hoist(node, stage)
     if isinstance(node, BinOp):
-        lhs, rhs = _emit(node.lhs, seq_slot), _emit(node.rhs, seq_slot)
+        lhs, rhs = _emit(node.lhs, slot, hoist, ctx), _emit(node.rhs, slot, hoist, ctx)
         if node.op == "^":
             return f"_ip({lhs}, {rhs})"
         return f"({lhs}{_OPS[node.op][3]}{rhs})"
@@ -371,34 +397,48 @@ def _emit(node: Node, seq_slot: dict[str, str]) -> str:
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Term):
-        return f"{seq_slot[node.seq]}({_emit(node.arg, seq_slot)})"
-    return f"_c{node.kind}({_emit(node.e_arg, seq_slot)}, {_emit(node.r_arg, seq_slot)})"
+        k, index = slot[node.seq], _emit(node.arg, slot, hoist, ctx)
+        if hoist is None:
+            return f"_f{k}({index})"
+        return f"(_v{k}[_i] if 0 <= (_i := {index}) < _m{k} else _f{k}(_i))"
+    return (f"_c{node.kind}({_emit(node.e_arg, slot, hoist, ctx)}, "
+            f"{_emit(node.r_arg, slot, hoist, ctx)})")
 
 
-def _compile(identity: Identity, e: int, limit: int) -> Callable[[int, int, int], tuple[int, int]]:
-    """Both sides as one function of (e, r, n) at level e: term lookups bounded
-    by `limit`, coefficient rows up to e, and `coeff_at` (which validates) beyond.
-    A(e, r)/B(e, r) read the table of the identity's one bound sequence."""
+def _bind(identity: Identity, e: int, limit: int) -> dict[str, object]:
+    """The names compiled code reads at level e: `_ip`; per bound sequence k,
+    its prefix `_v<k>` and lookup `_f<k>`, bounded by `limit`; and, when the
+    identity has A(e, r)/B(e, r), readers `_cA`/`_cB` of the coefficient
+    table of its one bound sequence, rows up to e, `coeff_at` (which
+    validates) beyond.  Binding errors raise here."""
     bound = dict(identity.bindings)
     missing = [seq for seq in identity.seq_names if seq not in bound]
     if missing:
         raise DomainError(f"unbound sequence names: {', '.join(missing)}")
-    namespace: dict[str, object] = {"_ip": _int_pow}
-    seq_slot: dict[str, str] = {}
-    for i, (seq, spec) in enumerate(identity.bindings):
-        seq_slot[seq] = f"_f{i}"
-        namespace[f"_f{i}"] = _term_lookup(spec, limit, seq)
+    names: dict[str, object] = {"_ip": _int_pow}
+    for k, (seq, spec) in enumerate(identity.bindings):
+        names[f"_v{k}"], names[f"_f{k}"] = _term_lookup(spec, limit, seq)
     if identity.uses_coeffs:
         specs = set(bound.values())
         if len(specs) != 1:
             raise DomainError("A(e, r)/B(e, r) need exactly one bound sequence "
                               "to supply the coefficient table")
         table = coeff_table(specs.pop(), max(e, 0))
-        namespace["_cA"] = _coeff_reader(table, 0)
-        namespace["_cB"] = _coeff_reader(table, 1)
-    source = (f"lambda e, r, n: ({_emit(identity.lhs, seq_slot)}, "
-              f"{_emit(identity.rhs, seq_slot)})")
-    return eval(source, namespace)  # noqa: S307 - source is generated from the validated AST
+        names["_cA"] = _coeff_reader(table, 0)
+        names["_cB"] = _coeff_reader(table, 1)
+    return names
+
+
+def _slots(identity: Identity) -> dict[str, int]:
+    return {seq: k for k, (seq, _) in enumerate(identity.bindings)}
+
+
+def _compile(identity: Identity, e: int, limit: int) -> Callable[[int, int, int], tuple[int, int]]:
+    """Both sides as one function of (e, r, n) at level e, evaluated left to
+    right with the names of `_bind(identity, e, limit)`."""
+    slot = _slots(identity)
+    source = f"lambda e, r, n: ({_emit(identity.lhs, slot)}, {_emit(identity.rhs, slot)})"
+    return eval(source, _bind(identity, e, limit))  # noqa: S307 - source is generated from the validated AST
 
 
 def _coeff_reader(table: CoeffTable, which: int) -> Callable[[int, int], int]:
@@ -417,23 +457,93 @@ def check_instance(identity: Identity, e: int, r: int, n: int) -> tuple[int, int
     return lhs, rhs, lhs == rhs
 
 
+# The kernel of an identity scans one e-level: `_level(e, r_hi, n_lo, n_hi)`
+# returns the first (r, n, lhs, rhs) with lhs != rhs in lexicographic order,
+# or None.  A hoisted value that raises raises at the first instance of its
+# level or row too, but maybe after another subtree raised there, so that
+# instance is replayed left to right to raise the error the scan meets first.
+_KERNEL = """\
+def _make({params}, _replay):
+    def _level(e, r_hi, n_lo, n_hi):
+{sizes}
+        try:
+{level}
+        except Exception:
+            _replay(e, 0, n_lo)
+            raise
+        for r in range(r_hi + 1):
+{row_sizes}
+            try:
+{row}
+            except Exception:
+                _replay(e, r, n_lo)
+                raise
+            for n in range(n_lo, n_hi + 1):
+                if (lhs := {lhs}) != (rhs := {rhs}):
+                    return r, n, lhs, rhs
+        return None
+    return _level
+"""
+
+
+class _Hoisted:
+    """Hoisted subtrees, each named once and assigned in the prelude of its stage."""
+
+    def __init__(self, slot: dict[str, int]):
+        self.slot = slot
+        self.names: dict[Node, str] = {}
+        self.preludes: tuple[list[str], list[str]] = ([], [])
+
+    def __call__(self, node: Node, stage: int) -> str:
+        if node not in self.names:
+            text = _emit(node, self.slot, self, stage)
+            self.names[node] = name = f"_h{len(self.names)}"
+            self.preludes[stage].append(f"{name} = {text}")
+        return self.names[node]
+
+
+def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
+    """The source of `_make(**names, _replay)`, which returns the identity's
+    kernel bound to one level's `names` (see `_bind`); it is the same text
+    at every level."""
+    slot = _slots(identity)
+    hoisted = _Hoisted(slot)
+    lhs, rhs = _emit(identity.lhs, slot, hoisted), _emit(identity.rhs, slot, hoisted)
+
+    def block(lines: list[str], indent: int) -> str:
+        return "\n".join(" " * indent + line for line in lines or ["pass"])
+
+    sizes = [f"_m{k} = len(_v{k})" for k in slot.values()]
+    return _KERNEL.format(
+        params=", ".join(params), lhs=lhs, rhs=rhs,
+        sizes=block(sizes, 8), level=block(hoisted.preludes[0], 12),
+        row_sizes=block(sizes, 12), row=block(hoisted.preludes[1], 16))
+
+
+def _load(source: str) -> Callable[..., Callable[[int, int, int, int], tuple | None]]:
+    """Run a kernel source; returns its `_make`, which is kept out of its own
+    globals so that no reference cycle pins a level's prefixes."""
+    namespace: dict[str, object] = {}
+    exec(source, namespace)  # noqa: S102 - source is generated from the validated AST
+    return namespace.pop("_make")
+
+
 def _n_range(identity: Identity, n_max: int) -> tuple[int, int]:
     """n's inclusive range: [n_min, n_max], or n_min alone when n is not mentioned."""
     return identity.n_min, (n_max if identity.uses_n else identity.n_min)
 
 
-def _verify_level(task: tuple[Identity, int, int]) -> Counterexample | None:
-    """The first counterexample of one e-level in lexicographic (r, n) order."""
-    identity, e, n_max = task
+def _verify_level(task: tuple[Identity, str, int, int],
+                  make: Callable | None = None) -> Counterexample | None:
+    """The first counterexample of one e-level in lexicographic (r, n) order.
+    The task carries the kernel source; `make` is that source already loaded."""
+    identity, source, e, n_max = task
     n_lo, n_hi = _n_range(identity, n_max)
     # every catalog index stays below 8x the level's grid (5*2^e*n + r needs 5x)
-    fn = _compile(identity, e, 8 * ((1 << e) + 1) * (n_hi - n_lo + 1))
-    for r in range((1 << e) + 1):
-        for n in range(n_lo, n_hi + 1):
-            lhs, rhs = fn(e, r, n)
-            if lhs != rhs:
-                return Counterexample(e, r, n, lhs, rhs)
-    return None
+    names = _bind(identity, e, 8 * ((1 << e) + 1) * (n_hi - n_lo + 1))
+    level = (make or _load(source))(_replay=partial(check_instance, identity), **names)
+    hit = level(e, 1 << e, n_lo, n_hi)
+    return None if hit is None else Counterexample(e, *hit)
 
 
 def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict:
@@ -445,9 +555,10 @@ def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict
     e order up to the first counterexample.  The count is the full grid,
     sum over e <= e_max of (2^e + 1) * |n range|.  Binding errors, jobs < 1,
     e_max < 0 and, when the identity mentions n, n_max < n_min raise before
-    any level runs.
+    any level runs.  The identity's kernel is generated once per call;
+    workers receive its source.
     """
-    _compile(identity, 0, 0)  # binding errors surface here, not in a worker
+    names = _bind(identity, 0, 0)  # binding errors surface here, not in a worker
     if jobs < 1:
         raise RangeError(f"jobs must be >= 1, got {jobs}")
     if e_max < 0:
@@ -456,13 +567,15 @@ def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict
         raise RangeError(f"n_max must be >= n_min = {identity.n_min}, got {n_max}")
     n_lo, n_hi = _n_range(identity, n_max)
     count = ((2 << e_max) + e_max) * (n_hi - n_lo + 1)
-    tasks = [(identity, e, n_max) for e in range(e_max + 1)]
+    source = _kernel_source(identity, tuple(names))
+    tasks = [(identity, source, e, n_max) for e in range(e_max + 1)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             first = next(filter(None, pool.map(_verify_level, tasks)), None)
     else:
-        first = next(filter(None, map(_verify_level, tasks)), None)
+        make = _load(source)
+        first = next(filter(None, (_verify_level(task, make) for task in tasks)), None)
     return Verdict(first is None, count, first)
 
 

@@ -172,14 +172,17 @@ def _replay(matrices: MatrixPair, digits: str, x: int, y: int) -> tuple[int, int
     return x, y
 
 
-def _digit_product(matrices: MatrixPair, digits: str) -> tuple[int, int, int, int]:
-    """The product M_dk ... M_d1 of the matrices of digits d1..dk (d1 the
-    most significant), flattened row by row; needs at least one digit.
+def _digit_products(matrices: MatrixPair, digits: str) -> list[tuple[int, int, int, int]]:
+    """The product P = M_dk ... M_d1 of the matrices of digits d1..dk (d1
+    the most significant) as [P] or as two factors [P1, P2] with P = P2*P1,
+    P1 from the earlier digits, each flattened row by row; needs at least
+    one digit.
 
     Each `_CHUNK_DIGITS`-digit chunk's product is replayed on its two
-    columns, then neighbouring products are multiplied pairwise, later
-    digits on the left, until one is left: a balanced product tree, whose
-    entries only get large in its last few levels.
+    columns, then neighbouring products are multiplied pairwise until at
+    most two are left: the levels of a balanced product tree below its
+    root, whose entries only get large in their last few levels.  The root
+    product is left to the caller, which needs only its first row.
     """
     level = []
     for start in range(0, len(digits), _CHUNK_DIGITS):
@@ -187,11 +190,11 @@ def _digit_product(matrices: MatrixPair, digits: str) -> tuple[int, int, int, in
         p, r = _replay(matrices, chunk, 1, 0)
         q, s = _replay(matrices, chunk, 0, 1)
         level.append((p, q, r, s))
-    while len(level) > 1:
+    while len(level) > 2:
         paired = [(p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h)
                   for (e, f, g, h), (p, q, r, s) in zip(level[::2], level[1::2])]
         level = paired + level[-1:] if len(level) % 2 else paired
-    return level[0]
+    return level
 
 
 @dataclass(frozen=True)
@@ -212,7 +215,10 @@ class LinearRepresentation:
 
         Below `_TREE_MIN_DIGITS` digits the state is replayed one digit at a
         time; from there on the digits' matrices are multiplied in a balanced
-        product tree (`_digit_product`) that is then applied to the state.
+        product tree (`_digit_products`) up to the two subtrees of its root.
+        The earlier one is applied to the state and the later one's first row
+        to the result, which takes two large multiplications where the root
+        product would take eight.
         """
         if n < 0:
             raise DomainError(f"sequence index must be >= 0, got {n}")
@@ -227,7 +233,9 @@ class LinearRepresentation:
         digits = digits[len(digits) - j:]
         if j < _TREE_MIN_DIGITS:
             return _replay(self.matrices, digits, x, y)[0]
-        p, q, _, _ = _digit_product(self.matrices, digits)
+        *earlier, (p, q, _, _) = _digit_products(self.matrices, digits)
+        for e, f, g, h in earlier:
+            x, y = e * x + f * y, g * x + h * y
         return p * x + q * y
 
     def render(self) -> str:

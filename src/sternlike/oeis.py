@@ -107,7 +107,7 @@ def crosscheck(spec: SternLikeSpec, bfile: BFileTable, index_shift: int = 0) -> 
     spec's output_min_index are skipped.
     """
     # sized by the job, so a sparse file with huge indices allocates little
-    value = _term_lookup(spec, 2 * len(bfile.records))
+    _, value = _term_lookup(spec, 2 * len(bfile.records))
     mismatches = []
     checked = skipped = 0
     floor = max(spec.output_min_index, 0)

@@ -174,9 +174,12 @@ def _term(spec: SternLikeSpec, n: int, table) -> int:
     return alpha * table[m] + beta * table[m + 1]
 
 
-def _term_lookup(spec: SternLikeSpec, limit: int, label: str = "v") -> Callable[[int], int]:
-    """v for one job: indices below `limit` come from a prefix grown on demand,
-    larger ones descend onto it; a negative index raises DomainError."""
+def _term_lookup(spec: SternLikeSpec, limit: int,
+                 label: str = "v") -> tuple[list[int], Callable[[int], int]]:
+    """(values, v) for one job: v reads indices below `limit` from the prefix
+    `values`, grown in place on demand, and descends onto it for larger ones;
+    a negative index raises DomainError.  A caller may read `values[n]`
+    directly for any n below its current length."""
     values = prefix(spec, 2 * spec.n_eff)
 
     def value(n: int) -> int:
@@ -188,7 +191,7 @@ def _term_lookup(spec: SternLikeSpec, limit: int, label: str = "v") -> Callable[
             return _extend(spec, values, min(max(n + 1, 2 * len(values)), limit))[n]
         return _term(spec, n, values)
 
-    return value
+    return values, value
 
 
 def eval_direct(spec: SternLikeSpec, n: int) -> int:
@@ -209,7 +212,7 @@ def eval_range(spec: SternLikeSpec, lo: int, hi: int) -> list[int]:
         raise RangeError(f"empty range: lo={lo} > hi={hi}")
     if lo < 0:
         raise DomainError(f"sequence index must be >= 0, got {lo}")
-    value = _term_lookup(spec, min(hi + 1, 2 * (hi - lo + 1)))
+    _, value = _term_lookup(spec, min(hi + 1, 2 * (hi - lo + 1)))
     return [value(n) for n in range(lo, hi + 1)]
 
 

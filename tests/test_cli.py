@@ -1,12 +1,16 @@
 """CLI subcommands and the 0/1/2/3 exit-code contract."""
 
+import io
 import random
 import shlex
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sternlike import cli, oeis
+from sternlike import catalog, cli, oeis
 from sternlike.cli import main
 
 from conftest import FIXTURES, STERN_TERMS
@@ -158,6 +162,45 @@ def test_jobs_invariance(capsys):
         runs[jobs] = (code, out, err)
     assert runs["1"] == runs["8"]
     assert runs["1"][0] == 1
+
+
+@pytest.mark.parametrize("expr", ["s(n - 1) == s(r - 5)", "s(n - 1) == s(2^e - 5)"])
+def test_verify_reports_the_first_error_of_the_scan(capsys, expr):
+    code, out, err = run(capsys, "verify", "--expr", expr, "--e-max", "2", "--n-max", "3")
+    assert (code, out, err) == (2, "", "error: index of s(...) evaluated negative: -1\n")
+
+
+_PERTURBING_INDICES = ("n - 1", "r - 2", "2^e - 3", "2^e*n + r", "n + r", "3*n", "r")
+
+
+@st.composite
+def _verify_texts(draw):
+    """A catalog identity's text as is, plus a difference of two terms that
+    may clash, or with one slice replaced by digit-free grammar characters
+    (a drawn digit run could make an index too large to evaluate)."""
+    text = draw(st.sampled_from([identity.text for identity in catalog()]))
+    how = draw(st.sampled_from(("as is", "perturbed", "edited")))
+    if how == "perturbed":
+        seq = draw(st.sampled_from(("s", "t", "z1", "y")))
+        first, second = (draw(st.sampled_from(_PERTURBING_INDICES)) for _ in range(2))
+        text += f" + {draw(st.integers(1, 3))}*({seq}({first}) - {seq}({second}))"
+    elif how == "edited":
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, len(text)))
+        text = text[:start] + draw(st.text(alphabet="stzyABern()+-*^=, ", max_size=6)) + text[stop:]
+    return text
+
+
+@settings(deadline=None, max_examples=80)
+@given(_verify_texts())
+def test_verify_exits_1_exactly_when_it_prints_a_counterexample(text):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--expr", text, "--e-max", "2", "--n-max", "4"])
+    assert code in (0, 1, 2), err.getvalue()
+    assert (code == 1) == (f"identity {text}: FAILS e=" in out.getvalue())
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 def test_series_machine_lines(capsys):

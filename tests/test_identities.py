@@ -1,10 +1,11 @@
 """Identity grammar, catalog, and the exhaustive verifier."""
 
+import gc
 import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sternlike import (DomainError, ParseError, RangeError,
@@ -311,6 +312,40 @@ def test_verify_is_the_first_event_of_the_lexicographic_scan():
             assert _outcome(verify, ident, e_max, n_max, jobs=2) == expected, ident.text
         kinds.add(expected[0] if isinstance(expected, tuple) else expected.holds)
     assert kinds == {True, False, DomainError}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(), st.integers(0, 3), st.integers(0, 6), st.booleans())
+def test_verify_matches_the_reference_scan_on_drawn_identities(seed, e_max, n_max, pooled):
+    ident = _random_identity(random.Random(seed))
+    n_max = max(n_max, ident.n_min)
+    expected = _outcome(reference_verify, ident, e_max, n_max)
+    assert _outcome(verify, ident, e_max, n_max) == expected, ident.text
+    if pooled:
+        assert _outcome(verify, ident, e_max, n_max, jobs=2) == expected, ident.text
+
+
+# the lhs reads s(-1) at the first instance, where a row value (r - 5) or a
+# level value (2^e - 5) of the rhs is negative too: the lhs's error comes first
+@pytest.mark.parametrize("text", ["s(n - 1) == s(r - 5)", "s(n - 1) == s(2^e - 5)"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_raises_the_first_error_of_the_first_instance(text, jobs):
+    ident = bind_presets(parse_identity(text))
+    with pytest.raises(DomainError) as caught:
+        verify(ident, 2, 3, jobs=jobs)
+    assert str(caught.value) == "index of s(...) evaluated negative: -1"
+
+
+def test_verify_leaves_no_cyclic_garbage():
+    idents = [catalog_entry("prop1"), catalog_entry("z1_thm_derived")]
+    gc.collect()
+    gc.disable()
+    try:
+        for ident in idents:
+            assert verify(ident, 6, 32).holds
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_variant_families_follow_the_catalog():
