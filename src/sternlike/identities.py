@@ -21,9 +21,9 @@ e-level with the r and n loops in the generated code.  Subtrees that mention
 neither r nor n (such as 2^e) are computed once per level, subtrees that
 mention r but not n (such as s(r), s(2^e - r), A(e, r)) once per row, and
 only the rest per instance; term reads index the level's prefix inline.
-When a hoisted value raises, the first instance of its level or row is
-replayed left to right, so the error reported is the one the scan meets
-first.
+Values are hoisted only after the first instance that needs them has been
+evaluated left to right, so the first error, or the first expensive value,
+the kernel meets is the one the scan meets first.
 
 The catalog ships every identity this library asserts about the presets.
 Statements whose published closed form is questionable appear twice, as a
@@ -38,7 +38,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, ParseError, RangeError, UnknownIdentityError
@@ -145,7 +145,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 # Bounds the parser's recursion and the AST's depth (to twice this): the AST
-# passes and the Python compiler of the generated lambda fail far deeper.
+# passes and the Python compiler of the generated kernel fail far deeper.
 _MAX_DEPTH = 50
 
 
@@ -378,14 +378,12 @@ def _stage(node: Node) -> int:
     return max((_STAGES[sub.name] for sub in _walk(node) if isinstance(sub, Var)), default=0)
 
 
-def _emit(node: Node, slot: dict[str, int], hoist: Callable[[Node, int], str] | None = None,
-          ctx: int = 2) -> str:
-    """Python source for `node`.  Without `hoist`, a term calls its lookup
-    `_f<slot>`.  With it, the kernel's form: a term reads the prefix `_v<slot>`
-    inline while the index is below `_m<slot>` and calls `_f<slot>` otherwise,
-    and every subtree other than a literal or variable whose stage is below
-    `ctx` becomes the name `hoist(subtree, stage)` returns."""
-    if hoist is not None and not isinstance(node, (Lit, Var)) and (stage := _stage(node)) < ctx:
+def _emit(node: Node, slot: dict[str, int], hoist: Callable[[Node, int], str], ctx: int) -> str:
+    """Python source for `node`: a term reads the prefix `_v<slot>` inline
+    while the index is below `_m<slot>` and calls `_f<slot>` otherwise, and
+    every subtree other than a literal or variable whose stage is below `ctx`
+    becomes the name `hoist(subtree, stage)` returns."""
+    if not isinstance(node, (Lit, Var)) and (stage := _stage(node)) < ctx:
         return hoist(node, stage)
     if isinstance(node, BinOp):
         lhs, rhs = _emit(node.lhs, slot, hoist, ctx), _emit(node.rhs, slot, hoist, ctx)
@@ -398,8 +396,6 @@ def _emit(node: Node, slot: dict[str, int], hoist: Callable[[Node, int], str] | 
         return node.name
     if isinstance(node, Term):
         k, index = slot[node.seq], _emit(node.arg, slot, hoist, ctx)
-        if hoist is None:
-            return f"_f{k}({index})"
         return f"(_v{k}[_i] if 0 <= (_i := {index}) < _m{k} else _f{k}(_i))"
     return (f"_c{node.kind}({_emit(node.e_arg, slot, hoist, ctx)}, "
             f"{_emit(node.r_arg, slot, hoist, ctx)})")
@@ -433,14 +429,6 @@ def _slots(identity: Identity) -> dict[str, int]:
     return {seq: k for k, (seq, _) in enumerate(identity.bindings)}
 
 
-def _compile(identity: Identity, e: int, limit: int) -> Callable[[int, int, int], tuple[int, int]]:
-    """Both sides as one function of (e, r, n) at level e, evaluated left to
-    right with the names of `_bind(identity, e, limit)`."""
-    slot = _slots(identity)
-    source = f"lambda e, r, n: ({_emit(identity.lhs, slot)}, {_emit(identity.rhs, slot)})"
-    return eval(source, _bind(identity, e, limit))  # noqa: S307 - source is generated from the validated AST
-
-
 def _coeff_reader(table: CoeffTable, which: int) -> Callable[[int, int], int]:
     rows = (table.A, table.B)[which]
 
@@ -452,37 +440,47 @@ def _coeff_reader(table: CoeffTable, which: int) -> Callable[[int, int], int]:
 
 
 def check_instance(identity: Identity, e: int, r: int, n: int) -> tuple[int, int, bool]:
-    """Evaluate both sides exactly at one binding of (e, r, n)."""
-    lhs, rhs = _compile(identity, e, 0)(e, r, n)
+    """Evaluate both sides exactly at one binding of (e, r, n).  It generates
+    and loads the identity's whole kernel on every call, so it must not run
+    in a loop; `verify` scans a grid."""
+    names = _bind(identity, e, 0)
+    lhs, rhs = _load(_kernel_source(identity, tuple(names)))(**names)[0](e, r, n)
     return lhs, rhs, lhs == rhs
 
 
-# The kernel of an identity scans one e-level: `_level(e, r_hi, n_lo, n_hi)`
-# returns the first (r, n, lhs, rhs) with lhs != rhs in lexicographic order,
-# or None.  A hoisted value that raises raises at the first instance of its
-# level or row too, but maybe after another subtree raised there, so that
-# instance is replayed left to right to raise the error the scan meets first.
+# The kernel of an identity: `_instance(e, r, n)` evaluates both sides left to
+# right with nothing hoisted, and `_level(e, r_hi, n_lo, n_hi)` scans one
+# e-level, returning the first (r, n, lhs, rhs) with lhs != rhs in
+# lexicographic order, or None.  The level's first instance runs through
+# `_instance` before the level prelude, and each row's first instance with
+# only level values hoisted before the row prelude.  The language has no
+# short-circuit, so a hoisted subtree was already evaluated, to the same
+# value, by the instance before it: a prelude never raises, nor computes an
+# expensive value, ahead of the scan.
 _KERNEL = """\
-def _make({params}, _replay):
-    def _level(e, r_hi, n_lo, n_hi):
+def _make({params}):
+    def _instance(e, r, n):
 {sizes}
-        try:
+        return {lhs0}, {rhs0}
+
+    def _level(e, r_hi, n_lo, n_hi):
+        lhs, rhs = _instance(e, 0, n_lo)
+        if lhs != rhs:
+            return 0, n_lo, lhs, rhs
+{sizes}
 {level}
-        except Exception:
-            _replay(e, 0, n_lo)
-            raise
         for r in range(r_hi + 1):
+            n = n_lo
 {row_sizes}
-            try:
+            if (lhs := {lhs1}) != (rhs := {rhs1}):
+                return r, n, lhs, rhs
+            if n_hi > n_lo:
 {row}
-            except Exception:
-                _replay(e, r, n_lo)
-                raise
-            for n in range(n_lo, n_hi + 1):
-                if (lhs := {lhs}) != (rhs := {rhs}):
-                    return r, n, lhs, rhs
+                for n in range(n_lo + 1, n_hi + 1):
+                    if (lhs := {lhs2}) != (rhs := {rhs2}):
+                        return r, n, lhs, rhs
         return None
-    return _level
+    return _instance, _level
 """
 
 
@@ -503,24 +501,26 @@ class _Hoisted:
 
 
 def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
-    """The source of `_make(**names, _replay)`, which returns the identity's
-    kernel bound to one level's `names` (see `_bind`); it is the same text
-    at every level."""
+    """The source of `_make(**names)`, which returns the identity's kernel
+    `(_instance, _level)` bound to one level's `names` (see `_bind`); it is
+    the same text at every level.  The sides are emitted at context 0 for
+    `_instance`, 1 for a row's first instance and 2 for the n loop."""
     slot = _slots(identity)
     hoisted = _Hoisted(slot)
-    lhs, rhs = _emit(identity.lhs, slot, hoisted), _emit(identity.rhs, slot, hoisted)
+    sides = {f"{side}{ctx}": _emit(getattr(identity, side), slot, hoisted, ctx)
+             for ctx in range(3) for side in ("lhs", "rhs")}
 
     def block(lines: list[str], indent: int) -> str:
         return "\n".join(" " * indent + line for line in lines or ["pass"])
 
     sizes = [f"_m{k} = len(_v{k})" for k in slot.values()]
     return _KERNEL.format(
-        params=", ".join(params), lhs=lhs, rhs=rhs,
-        sizes=block(sizes, 8), level=block(hoisted.preludes[0], 12),
+        params=", ".join(params), **sides,
+        sizes=block(sizes, 8), level=block(hoisted.preludes[0], 8),
         row_sizes=block(sizes, 12), row=block(hoisted.preludes[1], 16))
 
 
-def _load(source: str) -> Callable[..., Callable[[int, int, int, int], tuple | None]]:
+def _load(source: str) -> Callable[..., tuple[Callable, Callable]]:
     """Run a kernel source; returns its `_make`, which is kept out of its own
     globals so that no reference cycle pins a level's prefixes."""
     namespace: dict[str, object] = {}
@@ -541,8 +541,7 @@ def _verify_level(task: tuple[Identity, str, int, int],
     n_lo, n_hi = _n_range(identity, n_max)
     # every catalog index stays below 8x the level's grid (5*2^e*n + r needs 5x)
     names = _bind(identity, e, 8 * ((1 << e) + 1) * (n_hi - n_lo + 1))
-    level = (make or _load(source))(_replay=partial(check_instance, identity), **names)
-    hit = level(e, 1 << e, n_lo, n_hi)
+    hit = (make or _load(source))(**names)[1](e, 1 << e, n_lo, n_hi)
     return None if hit is None else Counterexample(e, *hit)
 
 

@@ -1,10 +1,13 @@
 """CLI subcommands and the 0/1/2/3 exit-code contract."""
 
 import io
+import os
 import random
 import shlex
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +171,25 @@ def test_jobs_invariance(capsys):
 def test_verify_reports_the_first_error_of_the_scan(capsys, expr):
     code, out, err = run(capsys, "verify", "--expr", expr, "--e-max", "2", "--n-max", "3")
     assert (code, out, err) == (2, "", "error: index of s(...) evaluated negative: -1\n")
+
+
+def _cap_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+def test_verify_reports_an_early_error_without_computing_a_later_huge_power():
+    # 3^(3^20) takes about 690 MB; the scan meets s(-1) first and never computes
+    # it, and the child's 512 MB address space makes a regression fail fast
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "sternlike", "verify", "--expr",
+                           "s(n - 1) == 3^(3^20)", "--e-max", "0", "--n-max", "0"],
+                          env=env, capture_output=True, text=True, timeout=30,
+                          preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: index of s(...) evaluated negative: -1\n")
 
 
 _PERTURBING_INDICES = ("n - 1", "r - 2", "2^e - 3", "2^e*n + r", "n + r", "3*n", "r")

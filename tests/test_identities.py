@@ -314,10 +314,24 @@ def test_verify_is_the_first_event_of_the_lexicographic_scan():
     assert kinds == {True, False, DomainError}
 
 
+# the same two terms added to both sides of a true identity, so that only
+# their errors decide: the first index, negative in n, is negative at the
+# level's first instance or at the first instance of row 1, where the second,
+# to its right, is negative too, mostly at another index; a kernel that
+# computes a level or row value before that instance reports the second error
+def _clashing_identity(rng):
+    seq, text = rng.choice(_BASES)
+    n_min, stage = rng.choice((0, 1, 2)), rng.choice(("level", "row"))
+    first = f"n - {n_min + rng.randint(1, 2)}" + ("*r" if stage == "row" else "")
+    second = f"{rng.randint(0, 2)} - {rng.randint(3, 4)}*" + ("r" if stage == "row" else "2^e")
+    lhs, rhs = (f"{side} + {seq}({first}) + {seq}({second})" for side in text.split(" == "))
+    return replace(bind_presets(parse_identity(f"{lhs} == {rhs}")), n_min=n_min)
+
+
 @settings(deadline=None, max_examples=60)
-@given(st.integers(), st.integers(0, 3), st.integers(0, 6), st.booleans())
-def test_verify_matches_the_reference_scan_on_drawn_identities(seed, e_max, n_max, pooled):
-    ident = _random_identity(random.Random(seed))
+@given(st.integers(), st.integers(0, 3), st.integers(0, 6), st.booleans(), st.booleans())
+def test_verify_matches_the_reference_scan_on_drawn_identities(seed, e_max, n_max, pooled, clash):
+    ident = (_clashing_identity if clash else _random_identity)(random.Random(seed))
     n_max = max(n_max, ident.n_min)
     expected = _outcome(reference_verify, ident, e_max, n_max)
     assert _outcome(verify, ident, e_max, n_max) == expected, ident.text
@@ -326,14 +340,29 @@ def test_verify_matches_the_reference_scan_on_drawn_identities(seed, e_max, n_ma
 
 
 # the lhs reads s(-1) at the first instance, where a row value (r - 5) or a
-# level value (2^e - 5) of the rhs is negative too: the lhs's error comes first
-@pytest.mark.parametrize("text", ["s(n - 1) == s(r - 5)", "s(n - 1) == s(2^e - 5)"])
+# level value (2^e - 5) of the rhs is negative too, or at the first instance
+# of row 1, where the row value s(1 - 4*r) reads s(-3): the -1 comes first
+@pytest.mark.parametrize("text", ["s(n - 1) == s(r - 5)", "s(n - 1) == s(2^e - 5)",
+                                  "s(n - r) + s(1 - 4*r) == s(n - r) + s(1 - 4*r)"])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_verify_raises_the_first_error_of_the_first_instance(text, jobs):
     ident = bind_presets(parse_identity(text))
     with pytest.raises(DomainError) as caught:
         verify(ident, 2, 3, jobs=jobs)
     assert str(caught.value) == "index of s(...) evaluated negative: -1"
+
+
+def test_verify_computes_no_power_before_the_first_error(monkeypatch):
+    calls = []
+
+    def counting_pow(base, exp):
+        calls.append((base, exp))
+        return base ** exp
+    monkeypatch.setattr(identities, "_int_pow", counting_pow)
+    with pytest.raises(DomainError) as caught:
+        verify(bind_presets(parse_identity("s(n - 1) == 2^(e + 5)")), 2, 3)
+    assert str(caught.value) == "index of s(...) evaluated negative: -1"
+    assert calls == []
 
 
 def test_verify_leaves_no_cyclic_garbage():
