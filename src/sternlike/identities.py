@@ -17,13 +17,15 @@ lexicographically smallest counterexample.  The grid may be sharded by e
 across worker processes; the verdict is identical for any worker count.
 
 Each identity is compiled, once per `verify`, into a kernel that scans one
-e-level with the r and n loops in the generated code.  Subtrees that mention
-neither r nor n (such as 2^e) are computed once per level, subtrees that
-mention r but not n (such as s(r), s(2^e - r), A(e, r)) once per row, and
-only the rest per instance; term reads index the level's prefix inline.
-Values are hoisted only after the first instance that needs them has been
-evaluated left to right, so the first error, or the first expensive value,
-the kernel meets is the one the scan meets first.
+e-level with the r and n loops in the generated code.  The inner loop runs
+over n, one pass per row, when the identity mentions n, and over r, one pass
+per level, otherwise.  A pass computes once each subtree that does not
+mention the inner variable: 2^e, s(r), s(2^e - r) and A(e, r) once per row
+with n, 2^e once per level without; the rest is computed per instance, and
+term reads index the level's prefix inline.  Values are hoisted only after
+the pass's first instance has been evaluated left to right, so the first
+error, or the first expensive value, the kernel meets is the one the scan
+meets first.
 
 The catalog ships every identity this library asserts about the presets.
 Statements whose published closed form is questionable appear twice, as a
@@ -369,36 +371,26 @@ def _int_pow(base: int, exp: int) -> int:
     return base ** exp
 
 
-# A subtree's stage is the innermost loop it needs: 0 when it mentions neither
-# r nor n, 1 when it mentions r but not n, 2 when it mentions n.
-_STAGES = {"e": 0, "r": 1, "n": 2}
-
-
-def _stage(node: Node) -> int:
-    return max((_STAGES[sub.name] for sub in _walk(node) if isinstance(sub, Var)), default=0)
-
-
-def _emit(node: Node, slot: dict[str, int], hoist: Callable[[Node, int], str], ctx: int) -> str:
+def _emit(node: Node, slot: dict[str, int], name: Callable[[Node, str], str]) -> str:
     """Python source for `node`: a term reads the prefix `_v<slot>` inline
-    while the index is below `_m<slot>` and calls `_f<slot>` otherwise, and
-    every subtree other than a literal or variable whose stage is below `ctx`
-    becomes the name `hoist(subtree, stage)` returns."""
-    if not isinstance(node, (Lit, Var)) and (stage := _stage(node)) < ctx:
-        return hoist(node, stage)
-    if isinstance(node, BinOp):
-        lhs, rhs = _emit(node.lhs, slot, hoist, ctx), _emit(node.rhs, slot, hoist, ctx)
-        if node.op == "^":
-            return f"_ip({lhs}, {rhs})"
-        return f"({lhs}{_OPS[node.op][3]}{rhs})"
+    while the index is below `_m<slot>`, and otherwise calls `_f<slot>`,
+    which may grow the prefix, and re-reads its length into `_m<slot>`.  The
+    source of every subtree other than a literal or variable passes through
+    `name(subtree, source)`, which returns it or a name bound to its value."""
     if isinstance(node, Lit):
         return repr(node.value)
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, Term):
-        k, index = slot[node.seq], _emit(node.arg, slot, hoist, ctx)
-        return f"(_v{k}[_i] if 0 <= (_i := {index}) < _m{k} else _f{k}(_i))"
-    return (f"_c{node.kind}({_emit(node.e_arg, slot, hoist, ctx)}, "
-            f"{_emit(node.r_arg, slot, hoist, ctx)})")
+    if isinstance(node, BinOp):
+        lhs, rhs = _emit(node.lhs, slot, name), _emit(node.rhs, slot, name)
+        text = f"_ip({lhs}, {rhs})" if node.op == "^" else f"({lhs}{_OPS[node.op][3]}{rhs})"
+    elif isinstance(node, Term):
+        k, index = slot[node.seq], _emit(node.arg, slot, name)
+        text = (f"(_v{k}[_i] if 0 <= (_i := {index}) < _m{k} "
+                f"else (_f{k}(_i), _m{k} := len(_v{k}))[0])")
+    else:
+        text = f"_c{node.kind}({_emit(node.e_arg, slot, name)}, {_emit(node.r_arg, slot, name)})"
+    return name(node, text)
 
 
 def _bind(identity: Identity, e: int, limit: int) -> dict[str, object]:
@@ -451,73 +443,71 @@ def check_instance(identity: Identity, e: int, r: int, n: int) -> tuple[int, int
 # The kernel of an identity: `_instance(e, r, n)` evaluates both sides left to
 # right with nothing hoisted, and `_level(e, r_hi, n_lo, n_hi)` scans one
 # e-level, returning the first (r, n, lhs, rhs) with lhs != rhs in
-# lexicographic order, or None.  The level's first instance runs through
-# `_instance` before the level prelude, and each row's first instance with
-# only level values hoisted before the row prelude.  The language has no
-# short-circuit, so a hoisted subtree was already evaluated, to the same
-# value, by the instance before it: a prelude never raises, nor computes an
-# expensive value, ahead of the scan.
+# lexicographic order, or None.  Its inner loop runs over n when the identity
+# mentions n, one pass per row, and over r otherwise, one pass per level (n is
+# pinned).  Each pass runs its first instance through `_instance`, then
+# computes once every subtree that does not mention the inner variable, then
+# the inner loop.  The language has no short-circuit, so each such subtree was
+# already evaluated, to the same value, by the pass's first instance: the
+# prelude never raises, nor computes an expensive value, ahead of the scan.
 _KERNEL = """\
 def _make({params}):
     def _instance(e, r, n):
 {sizes}
-        return {lhs0}, {rhs0}
+        return {lhs}, {rhs}
 
     def _level(e, r_hi, n_lo, n_hi):
-        lhs, rhs = _instance(e, 0, n_lo)
-        if lhs != rhs:
-            return 0, n_lo, lhs, rhs
 {sizes}
-{level}
-        for r in range(r_hi + 1):
-            n = n_lo
-{row_sizes}
-            if (lhs := {lhs1}) != (rhs := {rhs1}):
+        for {outer}:
+            {inner} = {lo}
+            lhs, rhs = _instance(e, r, n)
+            if lhs != rhs:
                 return r, n, lhs, rhs
-            if n_hi > n_lo:
-{row}
-                for n in range(n_lo + 1, n_hi + 1):
-                    if (lhs := {lhs2}) != (rhs := {rhs2}):
-                        return r, n, lhs, rhs
+{prelude}
+            for {inner} in range({lo} + 1, {hi} + 1):
+                if (lhs := {lhs_loop}) != (rhs := {rhs_loop}):
+                    return r, n, lhs, rhs
         return None
     return _instance, _level
 """
 
-
-class _Hoisted:
-    """Hoisted subtrees, each named once and assigned in the prelude of its stage."""
-
-    def __init__(self, slot: dict[str, int]):
-        self.slot = slot
-        self.names: dict[Node, str] = {}
-        self.preludes: tuple[list[str], list[str]] = ([], [])
-
-    def __call__(self, node: Node, stage: int) -> str:
-        if node not in self.names:
-            text = _emit(node, self.slot, self, stage)
-            self.names[node] = name = f"_h{len(self.names)}"
-            self.preludes[stage].append(f"{name} = {text}")
-        return self.names[node]
+# `_level`'s loops, by whether the identity mentions n: the outer loop, and
+# the inner variable with its first and last value
+_LOOPS = {True: ("r in range(r_hi + 1)", "n", "n_lo", "n_hi"),
+          False: ("n in range(n_lo, n_hi + 1)", "r", "0", "r_hi")}
 
 
 def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     """The source of `_make(**names)`, which returns the identity's kernel
     `(_instance, _level)` bound to one level's `names` (see `_bind`); it is
-    the same text at every level.  The sides are emitted at context 0 for
-    `_instance`, 1 for a row's first instance and 2 for the n loop."""
+    the same text at every level.  Each side is emitted twice: as is for
+    `_instance`, and for the inner loop with every hoisted subtree named once
+    and assigned in the prelude."""
     slot = _slots(identity)
-    hoisted = _Hoisted(slot)
-    sides = {f"{side}{ctx}": _emit(getattr(identity, side), slot, hoisted, ctx)
-             for ctx in range(3) for side in ("lhs", "rhs")}
+    outer, inner, lo, hi = _LOOPS[identity.uses_n]
+    sizes = [f"_m{k} = len(_v{k})" for k in slot.values()]
+    hoisted: dict[Node, str] = {}
+    prelude: list[str] = []
+
+    def hoist(node: Node, text: str) -> str:
+        if any(isinstance(sub, Var) and sub.name == inner for sub in _walk(node)):
+            return text
+        if node not in hoisted:
+            hoisted[node] = f"_h{len(hoisted)}"
+            prelude.append(f"{hoisted[node]} = {text}")
+        return hoisted[node]
 
     def block(lines: list[str], indent: int) -> str:
         return "\n".join(" " * indent + line for line in lines or ["pass"])
 
-    sizes = [f"_m{k} = len(_v{k})" for k in slot.values()]
+    sides = {}
+    for side in ("lhs", "rhs"):
+        node = getattr(identity, side)
+        sides[side] = _emit(node, slot, lambda _, text: text)
+        sides[f"{side}_loop"] = _emit(node, slot, hoist)
     return _KERNEL.format(
-        params=", ".join(params), **sides,
-        sizes=block(sizes, 8), level=block(hoisted.preludes[0], 8),
-        row_sizes=block(sizes, 12), row=block(hoisted.preludes[1], 16))
+        params=", ".join(params), **sides, sizes=block(sizes, 8),
+        prelude=block(prelude, 12), outer=outer, inner=inner, lo=lo, hi=hi)
 
 
 def _load(source: str) -> Callable[..., tuple[Callable, Callable]]:

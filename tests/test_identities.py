@@ -243,15 +243,21 @@ def test_verify_pins_n_for_identities_without_n():
 
 
 def reference_verify(identity, e_max, n_max):
-    """The grid walked in lexicographic (e, r, n) order, one `check_instance`
-    per point, stopping at the first mismatch or exception; the count is the
-    full grid."""
+    """The grid walked in lexicographic (e, r, n) order, one call of the
+    kernel's unhoisted `_instance` per point, loaded once and bound once per
+    level with no prefix (every term by descent), stopping at the first
+    mismatch or exception; the count is the full grid."""
     n_hi = n_max if identity.uses_n else identity.n_min
     points = [(e, r, n) for e in range(e_max + 1) for r in range((1 << e) + 1)
               for n in range(identity.n_min, n_hi + 1)]
+    params = tuple(identities._bind(identity, 0, 0))
+    make = identities._load(identities._kernel_source(identity, params))
+    instances = {}
     for e, r, n in points:
-        lhs, rhs, ok = check_instance(identity, e, r, n)
-        if not ok:
+        if e not in instances:
+            instances[e] = make(**identities._bind(identity, e, 0))[0]
+        lhs, rhs = instances[e](e, r, n)
+        if lhs != rhs:
             return identities.Verdict(False, len(points), Counterexample(e, r, n, lhs, rhs))
     return identities.Verdict(True, len(points))
 
@@ -275,6 +281,7 @@ _BASES = (
     ("z3", "A(e, r)*z3(2*n + 3) + B(e, r)*z3(2*n + 5)"
            " == z3(2^e*(n + 2) + r) + z3(2^e*(n + 1) + r)"),
 )
+_N_FREE_BASES = tuple(base for base in _BASES if not parse_identity(base[1]).uses_n)
 _INDEX_ATOMS = ("2^e*n", "2^e", "r", "n", "1")
 _VANISHING = ("r*n", "n*(2^e - 1)", "r*(2^e - 2)", "(2^e - 1)*(2^e - 2)", "r*(r - 1)")
 
@@ -317,12 +324,18 @@ def test_verify_is_the_first_event_of_the_lexicographic_scan():
 # the same two terms added to both sides of a true identity, so that only
 # their errors decide: the first index, negative in n, is negative at the
 # level's first instance or at the first instance of row 1, where the second,
-# to its right, is negative too, mostly at another index; a kernel that
-# computes a level or row value before that instance reports the second error
+# to its right, is negative too, mostly at another index; or, in an identity
+# without n, the first index is negative at r = 0 and the second, free of r,
+# at the level.  A kernel that computes a hoisted value before the first
+# instance of its pass reports the second error
 def _clashing_identity(rng):
-    seq, text = rng.choice(_BASES)
-    n_min, stage = rng.choice((0, 1, 2)), rng.choice(("level", "row"))
-    first = f"n - {n_min + rng.randint(1, 2)}" + ("*r" if stage == "row" else "")
+    n_min, stage = rng.choice((0, 1, 2)), rng.choice(("level", "row", "n-free"))
+    if stage == "n-free":
+        seq, text = rng.choice(_N_FREE_BASES)
+        first = f"r - {rng.randint(1, 2)}"
+    else:
+        seq, text = rng.choice(_BASES)
+        first = f"n - {n_min + rng.randint(1, 2)}" + ("*r" if stage == "row" else "")
     second = f"{rng.randint(0, 2)} - {rng.randint(3, 4)}*" + ("r" if stage == "row" else "2^e")
     lhs, rhs = (f"{side} + {seq}({first}) + {seq}({second})" for side in text.split(" == "))
     return replace(bind_presets(parse_identity(f"{lhs} == {rhs}")), n_min=n_min)
@@ -341,9 +354,11 @@ def test_verify_matches_the_reference_scan_on_drawn_identities(seed, e_max, n_ma
 
 # the lhs reads s(-1) at the first instance, where a row value (r - 5) or a
 # level value (2^e - 5) of the rhs is negative too, or at the first instance
-# of row 1, where the row value s(1 - 4*r) reads s(-3): the -1 comes first
+# of row 1, where the row value s(1 - 4*r) reads s(-3), or, without n, at
+# r = 0, where the level value s(2 - 2^(e + 2)) reads s(-2): the -1 comes first
 @pytest.mark.parametrize("text", ["s(n - 1) == s(r - 5)", "s(n - 1) == s(2^e - 5)",
-                                  "s(n - r) + s(1 - 4*r) == s(n - r) + s(1 - 4*r)"])
+                                  "s(n - r) + s(1 - 4*r) == s(n - r) + s(1 - 4*r)",
+                                  "s(r - 1) + s(2 - 2^(e + 2)) == s(r - 1) + s(2 - 2^(e + 2))"])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_verify_raises_the_first_error_of_the_first_instance(text, jobs):
     ident = bind_presets(parse_identity(text))
