@@ -14,7 +14,7 @@ import sys
 import traceback
 from dataclasses import replace
 
-from . import identities, linrep, oeis, series, tm_oracle
+from . import series
 from .errors import BFileError, SternlikeError
 from .recurrence import (PRESET_NAMES, SternLikeSpec, eval_direct, load_spec_file,
                          prefix, preset)
@@ -37,12 +37,14 @@ def _cmd_eval(args) -> int:
     if args.direct:
         value = eval_direct(spec, args.n)
     else:
+        from . import linrep
         value = linrep.eval_fast(spec, args.n)
     print(value)
     return 0
 
 
 def _cmd_table(args) -> int:
+    from . import oeis
     spec = _resolve_sequence(args.sequence)
     if args.format == "bfile":
         sys.stdout.write(oeis.write_bfile(spec, getattr(args, "from"), args.to))
@@ -55,6 +57,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
+    from . import linrep
     spec = _resolve_sequence(args.sequence)
     table = linrep.coeff_table(spec, args.e_max)
     print("# e r A B")
@@ -65,12 +68,14 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    from . import linrep
     spec = _resolve_sequence(args.sequence)
     sys.stdout.write(linrep.linear_representation(spec).render())
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import identities
     if args.expr is not None:
         identity = identities.parse_identity(args.expr)
         identity = identities.bind_presets(identity)
@@ -102,6 +107,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_oracle_tm(args) -> int:
+    from . import tm_oracle
     report = tm_oracle.verify_y_preset(args.ell_max)
     bad_lengths = {m[0] for m in report.mismatches}
     values = prefix(preset("tm_complexity_shift"), report.ell_max - 1)
@@ -113,6 +119,7 @@ def _cmd_oracle_tm(args) -> int:
 
 
 def _cmd_oeis_check(args) -> int:
+    from . import oeis
     spec = _resolve_sequence(args.sequence)
     default_shift = 0
     if spec.name in oeis.PRESET_OEIS_IDS:
@@ -136,6 +143,7 @@ def _cmd_oeis_check(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from . import identities
     for identity in identities.catalog():
         print(f"{identity.name:24s} n_min={identity.n_min} {identity.text}")
     return 0

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable, NamedTuple
@@ -560,6 +559,7 @@ def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict
     tasks = [(identity, source, e, n_max) for e in range(e_max + 1)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             first = next(filter(None, pool.map(_verify_level, tasks)), None)
     else:

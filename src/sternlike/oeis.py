@@ -10,7 +10,6 @@ explicitly).
 
 from __future__ import annotations
 
-import urllib.request
 from dataclasses import dataclass
 
 from .errors import BFileError, RangeError
@@ -145,6 +144,7 @@ def bfile_url(a_number: str) -> str:
 
 def fetch_bfile(a_number: str, timeout: float = 30.0) -> BFileTable:
     """Download a b-file over HTTPS.  Only ever called from an explicit opt-in."""
+    import urllib.request  # the network stack loads only when a fetch is asked for
     url = bfile_url(a_number)
     with urllib.request.urlopen(url, timeout=timeout) as response:
         text = response.read().decode("utf-8")

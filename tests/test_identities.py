@@ -1,5 +1,6 @@
 """Identity grammar, catalog, and the exhaustive verifier."""
 
+import concurrent.futures
 import gc
 import random
 from dataclasses import replace
@@ -198,7 +199,7 @@ class _RecordingPool:
     (8, 11, 1, None),    # one CPU: no pool
 ])
 def test_verify_caps_worker_pool(monkeypatch, jobs, levels, cpus, size):
-    monkeypatch.setattr(identities, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(identities.os, "cpu_count", lambda: cpus)
     _RecordingPool.sizes = []
     ident = catalog_entry("z3_cor_printed")
@@ -212,7 +213,7 @@ def test_verify_caps_worker_pool(monkeypatch, jobs, levels, cpus, size):
     (parse_identity("s(n) == s(n)"), "unbound sequence names: s"),
 ])
 def test_verify_binding_errors_raise_before_any_level(monkeypatch, ident, message):
-    monkeypatch.setattr(identities, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     _RecordingPool.sizes = []
     for jobs in (1, 4):
         with pytest.raises(DomainError, match=message):

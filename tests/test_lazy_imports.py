@@ -1,0 +1,77 @@
+"""The package imports each submodule on first use, and a cold CLI run loads
+only what its subcommand calls."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sternlike
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh(code: str) -> str:
+    """Runs `code` in a fresh interpreter and returns its standard output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+def _modules_loaded_after(code: str, names: tuple[str, ...]) -> list[str]:
+    """Which of `names` a fresh interpreter holds in sys.modules after `code`."""
+    probe = f"{code}\nimport sys\nprint(' '.join(n for n in {names!r} if n in sys.modules))"
+    return _fresh(probe).split()
+
+
+NETWORK_AND_POOL = ("urllib.request", "http.client", "ssl", "concurrent.futures.process",
+                    "multiprocessing")
+
+
+@pytest.mark.parametrize("code,unwanted", [
+    ("import sternlike", NETWORK_AND_POOL + ("sternlike.identities",)),
+    # only fetch_bfile and a verify with workers import these
+    ("from sternlike import cli, identities, linrep, oeis, recurrence, series, tm_oracle",
+     NETWORK_AND_POOL),
+])
+def test_imports_leave_out_the_network_and_the_pool(code, unwanted):
+    assert _modules_loaded_after(code, unwanted) == []
+
+
+def test_cli_eval_loads_only_what_it_calls():
+    names = ("sternlike.identities", "sternlike.tm_oracle", "sternlike.oeis",
+             "urllib.request", "sternlike.linrep")
+    code = "import sternlike.cli\nsternlike.cli.main(['eval', 'stern', '5'])"
+    # eval prints s(5) = 3 first; linrep, which it calls, shows the probe works
+    assert _modules_loaded_after(code, names) == ["3", "sternlike.linrep"]
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from sternlike import *", namespace)
+    assert [name for name in sternlike.__all__ if name not in namespace] == []
+
+
+@pytest.mark.parametrize("module,names", sternlike._EXPORTS.items(),
+                         ids=list(sternlike._EXPORTS))
+def test_each_exported_name_is_its_submodule_value(module, names):
+    owner = importlib.import_module(f"sternlike.{module}")
+    assert [name for name in names if getattr(sternlike, name) is not getattr(owner, name)] == []
+    assert all(name in vars(sternlike) for name in names)  # kept after the first lookup
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'sternlike' has no attribute 'nosuch'"):
+        sternlike.nosuch
+    assert not hasattr(sternlike, "nosuch")
+
+
+def test_dir_lists_every_exported_name_before_any_is_loaded():
+    code = "import sternlike\nprint(sorted(set(sternlike.__all__) - set(dir(sternlike))))"
+    assert _fresh(code) == "[]\n"

@@ -1,11 +1,13 @@
 """B-file parsing/writing and sequence cross-checks."""
 
+import urllib.request
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sternlike import (BFileError, RangeError, crosscheck, eval_direct,
-                       parse_bfile, preset, write_bfile)
+                       fetch_bfile, parse_bfile, preset, write_bfile)
 from sternlike.oeis import PRESET_OEIS_IDS, bfile_url
 from sternlike.recurrence import PRESET_NAMES
 from sternlike.tm_oracle import factor_complexity, thue_morse_prefix
@@ -112,3 +114,29 @@ def test_bfile_url_and_id_table():
     assert bfile_url("A002487") == "https://oeis.org/A002487/b002487.txt"
     assert PRESET_OEIS_IDS["stern"] == ("A002487", 0)
     assert PRESET_OEIS_IDS["tm_complexity_shift"] == ("A005942", 1)
+
+
+class _FakeResponse:
+    """Stands in for an HTTP response: a context manager with a fixed body."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return b"0 0\n1 1\n2 1\n"
+
+
+def test_fetch_bfile_parses_the_downloaded_text_offline(monkeypatch):
+    requests = []
+
+    def urlopen(url, timeout):
+        requests.append(url)
+        return _FakeResponse()
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    table = fetch_bfile("A002487")
+    assert requests == [bfile_url("A002487")]
+    assert (table.records, table.source) == (((0, 0), (1, 1), (2, 1)), bfile_url("A002487"))
