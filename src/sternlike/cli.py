@@ -248,8 +248,9 @@ def _main(argv: list[str] | None) -> int:
     except (SternlikeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception:
-        # a crash must not read as exit 1, a counterexample
+    except Exception as exc:
+        # a crash must not read as exit 1; free its frames' locals (a huge prefix) first
+        traceback.clear_frames(exc.__traceback__)
         traceback.print_exc()
         return 3
 

@@ -25,7 +25,8 @@ with n, 2^e once per level without; the rest is computed per instance, and
 term reads index the level's prefix inline.  Values are hoisted only after
 the pass's first instance has been evaluated left to right, so the first
 error, or the first expensive value, the kernel meets is the one the scan
-meets first.
+meets first.  A scan of several levels keeps one prefix per sequence and
+grows it level by level, each level no further than its own grid reads.
 
 The catalog ships every identity this library asserts about the presets.
 Statements whose published closed form is questionable appear twice, as a
@@ -39,7 +40,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, ParseError, RangeError, UnknownIdentityError
@@ -392,19 +393,21 @@ def _emit(node: Node, slot: dict[str, int], name: Callable[[Node, str], str]) ->
     return name(node, text)
 
 
-def _bind(identity: Identity, e: int, limit: int) -> dict[str, object]:
+def _bind(identity: Identity, e: int, limit: int,
+          carried: dict[str, object] | None = None) -> dict[str, object]:
     """The names compiled code reads at level e: `_ip`; per bound sequence k,
-    its prefix `_v<k>` and lookup `_f<k>`, bounded by `limit`; and, when the
-    identity has A(e, r)/B(e, r), readers `_cA`/`_cB` of the coefficient
-    table of its one bound sequence, rows up to e, `coeff_at` (which
-    validates) beyond.  Binding errors raise here."""
+    its prefix `_v<k>`, the one in `carried` names if given, and lookup
+    `_f<k>`, bounded by `limit`; and, when the identity has A(e, r)/B(e, r),
+    readers `_cA`/`_cB` of the coefficient table of its one bound sequence,
+    rows up to e, `coeff_at` (which validates) beyond.  Binding errors raise here."""
     bound = dict(identity.bindings)
     missing = [seq for seq in identity.seq_names if seq not in bound]
     if missing:
         raise DomainError(f"unbound sequence names: {', '.join(missing)}")
     names: dict[str, object] = {"_ip": _int_pow}
     for k, (seq, spec) in enumerate(identity.bindings):
-        names[f"_v{k}"], names[f"_f{k}"] = _term_lookup(spec, limit, seq)
+        names[f"_v{k}"], names[f"_f{k}"] = _term_lookup(
+            spec, limit, seq, carried and carried[f"_v{k}"])
     if identity.uses_coeffs:
         specs = set(bound.values())
         if len(specs) != 1:
@@ -517,21 +520,18 @@ def _load(source: str) -> Callable[..., tuple[Callable, Callable]]:
     return namespace.pop("_make")
 
 
-def _n_range(identity: Identity, n_max: int) -> tuple[int, int]:
-    """n's inclusive range: [n_min, n_max], or n_min alone when n is not mentioned."""
-    return identity.n_min, (n_max if identity.uses_n else identity.n_min)
-
-
-def _verify_level(task: tuple[Identity, str, int, int],
-                  make: Callable | None = None) -> Counterexample | None:
-    """The first counterexample of one e-level in lexicographic (r, n) order.
-    The task carries the kernel source; `make` is that source already loaded."""
-    identity, source, e, n_max = task
-    n_lo, n_hi = _n_range(identity, n_max)
-    # every catalog index stays below 8x the level's grid (5*2^e*n + r needs 5x)
-    names = _bind(identity, e, 8 * ((1 << e) + 1) * (n_hi - n_lo + 1))
-    hit = (make or _load(source))(**names)[1](e, 1 << e, n_lo, n_hi)
-    return None if hit is None else Counterexample(e, *hit)
+def _scan(identity: Identity, source: str, n_hi: int, levels: range) -> Counterexample | None:
+    """The first counterexample of the e-levels `levels`, in lexicographic
+    (e, r, n) order, with n in [n_min, n_hi].  It loads the kernel `source`
+    once, and each level grows the prefixes the level before it grew."""
+    make, names, n_lo = _load(source), None, identity.n_min
+    for e in levels:
+        # every catalog index stays below 8x the level's grid (5*2^e*n + r needs 5x)
+        names = _bind(identity, e, 8 * ((1 << e) + 1) * (n_hi - n_lo + 1), names)
+        hit = make(**names)[1](e, 1 << e, n_lo, n_hi)
+        if hit is not None:
+            return Counterexample(e, *hit)
+    return None
 
 
 def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict:
@@ -543,8 +543,8 @@ def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict
     e order up to the first counterexample.  The count is the full grid,
     sum over e <= e_max of (2^e + 1) * |n range|.  Binding errors, jobs < 1,
     e_max < 0 and, when the identity mentions n, n_max < n_min raise before
-    any level runs.  The identity's kernel is generated once per call;
-    workers receive its source.
+    any level runs.  The kernel is generated once per call; one `_scan` runs
+    all levels, growing one prefix per sequence, or each worker scans one.
     """
     names = _bind(identity, 0, 0)  # binding errors surface here, not in a worker
     if jobs < 1:
@@ -553,18 +553,17 @@ def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict
         raise RangeError(f"e_max must be >= 0, got {e_max}")
     if identity.uses_n and n_max < identity.n_min:
         raise RangeError(f"n_max must be >= n_min = {identity.n_min}, got {n_max}")
-    n_lo, n_hi = _n_range(identity, n_max)
-    count = ((2 << e_max) + e_max) * (n_hi - n_lo + 1)
-    source = _kernel_source(identity, tuple(names))
-    tasks = [(identity, source, e, n_max) for e in range(e_max + 1)]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    n_hi = n_max if identity.uses_n else identity.n_min
+    count = ((2 << e_max) + e_max) * (n_hi - identity.n_min + 1)
+    scan = partial(_scan, identity, _kernel_source(identity, tuple(names)), n_hi)
+    workers = min(jobs, e_max + 1, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            first = next(filter(None, pool.map(_verify_level, tasks)), None)
+            hits = pool.map(scan, (range(e, e + 1) for e in range(e_max + 1)))
+            first = next(filter(None, hits), None)
     else:
-        make = _load(source)
-        first = next(filter(None, (_verify_level(task, make) for task in tasks)), None)
+        first = scan(range(e_max + 1))
     return Verdict(first is None, count, first)
 
 

@@ -174,13 +174,13 @@ def _term(spec: SternLikeSpec, n: int, table) -> int:
     return alpha * table[m] + beta * table[m + 1]
 
 
-def _term_lookup(spec: SternLikeSpec, limit: int,
-                 label: str = "v") -> tuple[list[int], Callable[[int], int]]:
+def _term_lookup(spec: SternLikeSpec, limit: int, label: str = "v",
+                 values: list[int] | None = None) -> tuple[list[int], Callable[[int], int]]:
     """(values, v) for one job: v reads indices below `limit` from the prefix
-    `values`, grown in place on demand, and descends onto it for larger ones;
-    a negative index raises DomainError.  A caller may read `values[n]`
-    directly for any n below its current length."""
-    values = prefix(spec, 2 * spec.n_eff)
+    `values` (fresh, or one an earlier job grew), grown in place on demand,
+    and descends onto it for larger ones; a negative index raises
+    DomainError.  A caller may read `values[n]` directly below its length."""
+    values = prefix(spec, 2 * spec.n_eff) if values is None else values
 
     def value(n: int) -> int:
         if 0 <= n < len(values):

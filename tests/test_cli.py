@@ -173,23 +173,46 @@ def test_verify_reports_the_first_error_of_the_scan(capsys, expr):
     assert (code, out, err) == (2, "", "error: index of s(...) evaluated negative: -1\n")
 
 
-def _cap_address_space():
-    import resource
-    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+def _run_capped(*argv, megabytes=512):
+    """`python -m sternlike *argv` in a child whose address space is capped."""
+    def cap():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "sternlike", *argv], env=env,
+                          capture_output=True, text=True, timeout=30, preexec_fn=cap)
 
 
 def test_verify_reports_an_early_error_without_computing_a_later_huge_power():
     # 3^(3^20) takes about 690 MB; the scan meets s(-1) first and never computes
     # it, and the child's 512 MB address space makes a regression fail fast
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "sternlike", "verify", "--expr",
-                           "s(n - 1) == 3^(3^20)", "--e-max", "0", "--n-max", "0"],
-                          env=env, capture_output=True, text=True, timeout=30,
-                          preexec_fn=_cap_address_space)
+    proc = _run_capped("verify", "--expr", "s(n - 1) == 3^(3^20)", "--e-max", "0", "--n-max", "0")
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", "error: index of s(...) evaluated negative: -1\n")
+
+
+# each fails at its first level; binding the prefixes or the coefficient table
+# of a level the scan never reaches (here e = 40, 2^41 rows) exhausts 512 MB
+@pytest.mark.parametrize("expr,n_max,verdict", [
+    ("s(2^(e + 40)) + s(r) == 1", "0", "FAILS e=0 r=1 n=0 lhs=2 rhs=1 checked=2199023255592"),
+    ("A(e, r)*s(n) == s(n)", "1", "FAILS e=0 r=1 n=1 lhs=0 rhs=1 checked=4398046511184"),
+])
+def test_a_scan_that_stops_early_binds_no_later_level(expr, n_max, verdict):
+    proc = _run_capped("verify", "--expr", expr, "--e-max", "40", "--n-max", n_max)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, f"identity {expr}: {verdict}\n", "")
+
+
+def test_running_out_of_memory_exits_3_not_1():
+    # s(0) .. s(1.6e9) does not fit in 768 MB; the crash report used to build
+    # the traceback while its frames still held the prefix, ran out of memory
+    # again, and that second MemoryError exited 1, the counterexample code
+    proc = _run_capped("verify", "--expr", "s(n) == s(n) + 0*s(1600000000 - n)",
+                       "--e-max", "0", "--n-max", "100000000", megabytes=768)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.splitlines()[-1] == "MemoryError"
 
 
 _PERTURBING_INDICES = ("n - 1", "r - 2", "2^e - 3", "2^e*n + r", "n + r", "3*n", "r")

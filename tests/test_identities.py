@@ -14,7 +14,7 @@ from sternlike import (DomainError, ParseError, RangeError,
                        catalog_names, check_instance, discrepancy_report,
                        generic_corollary, make_spec, parse_identity, preset,
                        verify)
-from sternlike import identities
+from sternlike import identities, recurrence
 from sternlike.identities import (Counterexample, bind_presets, render,
                                   VARIANT_FAMILIES)
 
@@ -379,6 +379,25 @@ def test_verify_computes_no_power_before_the_first_error(monkeypatch):
         verify(bind_presets(parse_identity("s(n - 1) == 2^(e + 5)")), 2, 3)
     assert str(caught.value) == "index of s(...) evaluated negative: -1"
     assert calls == []
+
+
+def test_a_serial_scan_grows_one_prefix_across_its_levels(monkeypatch):
+    appended, longest = [], [0]
+    extend = recurrence._extend
+
+    def counting_extend(spec, values, size):
+        appended.append(max(size - len(values), 0))
+        out = extend(spec, values, size)
+        longest[0] = max(longest[0], len(out))
+        return out
+    monkeypatch.setattr(recurrence, "_extend", counting_extend)
+    entry = catalog_entry("prop1")
+    assert verify(entry, 6, 32).holds
+    # the scan's prefix starts from the 2*n_eff initial values and keeps every
+    # term it appends; the one other prefix is the early binding check's,
+    # which gets the single term any fresh prefix gets and never grows
+    n_eff = preset("stern").n_eff
+    assert sum(appended) == (longest[0] - 2 * n_eff) + 1
 
 
 def test_verify_leaves_no_cyclic_garbage():
