@@ -21,12 +21,16 @@ e-level with the r and n loops in the generated code.  The inner loop runs
 over n, one pass per row, when the identity mentions n, and over r, one pass
 per level, otherwise.  A pass computes once each subtree that does not
 mention the inner variable: 2^e, s(r), s(2^e - r) and A(e, r) once per row
-with n, 2^e once per level without; the rest is computed per instance, and
-term reads index the level's prefix inline.  Values are hoisted only after
-the pass's first instance has been evaluated left to right, so the first
-error, or the first expensive value, the kernel meets is the one the scan
-meets first.  A scan of several levels keeps one prefix per sequence and
-grows it level by level, each level no further than its own grid reads.
+with n, 2^e once per level without; the rest is computed per instance.
+Values are hoisted only after the pass's first instance has been evaluated
+left to right, so the first error, or the first expensive value, the kernel
+meets is the one the scan meets first.  The rest of a pass alternates
+stretches, runs of instances whose term reads all fall inside the level's
+prefixes, computed as whole lists over prefix slices and compared at once,
+with checked steps, single instances that read left to right and alone may
+grow a prefix, descend or raise.  A scan of several levels keeps one prefix
+per sequence and grows it level by level, each level no further than its
+own grid reads.
 
 The catalog ships every identity this library asserts about the presets.
 Statements whose published closed form is questionable appear twice, as a
@@ -114,6 +118,10 @@ def _walk(node: Node):
         child = getattr(node, attr, None)
         if child is not None:
             yield from _walk(child)
+
+
+def _mentions(node: Node, var: str) -> bool:
+    return any(isinstance(sub, Var) and sub.name == var for sub in _walk(node))
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +343,7 @@ class Identity:
 
     @property
     def uses_n(self) -> bool:
-        return any(isinstance(node, Var) and node.name == "n"
-                   for node in (*_walk(self.lhs), *_walk(self.rhs)))
+        return _mentions(self.lhs, "n") or _mentions(self.rhs, "n")
 
 
 def parse_identity(text: str) -> Identity:
@@ -393,18 +400,78 @@ def _emit(node: Node, slot: dict[str, int], name: Callable[[Node, str], str]) ->
     return name(node, text)
 
 
+# the most instances one stretch of the kernel compares at once, so that its
+# temporary lists stay small
+_STRETCH = 4096
+
+
+def _stretch(count: int, *reads: tuple[int, int, int]) -> int:
+    """How many instances in a row, at most `count` and `_STRETCH`, read
+    only indices inside their prefixes: each read (size, b, a) is a term that
+    reads index b + a*j of a prefix of length `size` at the j-th instance."""
+    k = min(count, _STRETCH)
+    for size, b, a in reads:
+        if not 0 <= b < size:
+            return 0
+        if a:
+            k = min(k, ((size - 1 - b) // a if a > 0 else b // -a) + 1)
+    return k
+
+
+def _reads(values: list[int], b: int, a: int, k: int) -> list[int]:
+    """[values[b + a*j] for j in range(k)], every index inside the list."""
+    if a > 0:
+        return values[b:b + a * (k - 1) + 1:a]
+    if a < 0:
+        return values[b + a * (k - 1):b + 1:-a][::-1]
+    return [values[b]] * k
+
+
+def _degree(node: Node, var: str) -> int:
+    """The degree in `var` of an index, 2 for any degree above 1 or a power
+    whose exponent mentions `var`."""
+    if isinstance(node, Lit):
+        return 0
+    if isinstance(node, Var):
+        return int(node.name == var)
+    lhs, rhs = _degree(node.lhs, var), _degree(node.rhs, var)
+    if node.op == "^":
+        return 2 if rhs else 0
+    return min(lhs + rhs if node.op == "*" else max(lhs, rhs), 2)
+
+
+def _sliceable(node: Node, var: str) -> bool:
+    """Whether every subtree of a side that mentions `var` is +, -, * or a
+    term whose index has degree at most 1 in `var`."""
+    if isinstance(node, Term):
+        return _degree(node.arg, var) <= 1
+    if isinstance(node, BinOp) and node.op != "^":
+        return _sliceable(node.lhs, var) and _sliceable(node.rhs, var)
+    return not _mentions(node, var)
+
+
+def _at_next(node: Node, var: str) -> Node:
+    """An index with `var` replaced by var + 1."""
+    if isinstance(node, Var) and node.name == var:
+        return BinOp("+", node, Lit(1))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _at_next(node.lhs, var), _at_next(node.rhs, var))
+    return node
+
+
 def _bind(identity: Identity, e: int, limit: int,
           carried: dict[str, object] | None = None) -> dict[str, object]:
-    """The names compiled code reads at level e: `_ip`; per bound sequence k,
-    its prefix `_v<k>`, the one in `carried` names if given, and lookup
-    `_f<k>`, bounded by `limit`; and, when the identity has A(e, r)/B(e, r),
-    readers `_cA`/`_cB` of the coefficient table of its one bound sequence,
-    rows up to e, `coeff_at` (which validates) beyond.  Binding errors raise here."""
+    """The names compiled code reads at level e: `_ip`, `_stretch` and
+    `_reads`; per bound sequence k, its prefix `_v<k>`, the one in `carried`
+    names if given, and lookup `_f<k>`, bounded by `limit`; and, when the
+    identity has A(e, r)/B(e, r), readers `_cA`/`_cB` of the coefficient
+    table of its one bound sequence, rows up to e, `coeff_at` (which
+    validates) beyond.  Binding errors raise here."""
     bound = dict(identity.bindings)
     missing = [seq for seq in identity.seq_names if seq not in bound]
     if missing:
         raise DomainError(f"unbound sequence names: {', '.join(missing)}")
-    names: dict[str, object] = {"_ip": _int_pow}
+    names: dict[str, object] = {"_ip": _int_pow, "_stretch": _stretch, "_reads": _reads}
     for k, (seq, spec) in enumerate(identity.bindings):
         names[f"_v{k}"], names[f"_f{k}"] = _term_lookup(
             spec, limit, seq, carried and carried[f"_v{k}"])
@@ -452,6 +519,19 @@ def check_instance(identity: Identity, e: int, r: int, n: int) -> tuple[int, int
 # the inner loop.  The language has no short-circuit, so each such subtree was
 # already evaluated, to the same value, by the pass's first instance: the
 # prelude never raises, nor computes an expensive value, ahead of the scan.
+#
+# The inner loop alternates two steps.  A stretch is the longest run of
+# instances, up to `_STRETCH`, at which every term mentioning the inner
+# variable reads an index b + a*j already inside its prefix (b and a come from
+# the index at the current value and the next); it computes each side as one
+# list over slices of the prefixes and compares the lists once.  When no
+# stretch is possible, one checked step runs the next instance as the plain
+# loop would, reading left to right; it alone can grow a prefix, descend or
+# raise.  A stretch holds only in-range, affine (so monotone) reads and
+# integer +, -, *, so it can do none of these, and it ends just before the
+# first instance that would: the scan meets every event where and in the order
+# the plain loop meets it.  A pass whose sides are not `_sliceable` takes only
+# checked steps.
 _KERNEL = """\
 def _make({params}):
     def _instance(e, r, n):
@@ -466,9 +546,18 @@ def _make({params}):
             if lhs != rhs:
                 return r, n, lhs, rhs
 {prelude}
-            for {inner} in range({lo} + 1, {hi} + 1):
-                if (lhs := {lhs_loop}) != (rhs := {rhs_loop}):
-                    return r, n, lhs, rhs
+            {inner} += 1
+            while {inner} <= {hi}:
+{stretch}
+                if not _k:
+                    if (lhs := {lhs_loop}) != (rhs := {rhs_loop}):
+                        return r, n, lhs, rhs
+                    _k = 1
+                elif (lhs := {lhs_stretch}) != (rhs := {rhs_stretch}):
+                    _j = [x == y for x, y in zip(lhs, rhs)].index(False)
+                    {inner} += _j
+                    return r, n, lhs[_j], rhs[_j]
+                {inner} += _k
         return None
     return _instance, _level
 """
@@ -482,9 +571,11 @@ _LOOPS = {True: ("r in range(r_hi + 1)", "n", "n_lo", "n_hi"),
 def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     """The source of `_make(**names)`, which returns the identity's kernel
     `(_instance, _level)` bound to one level's `names` (see `_bind`); it is
-    the same text at every level.  Each side is emitted twice: as is for
-    `_instance`, and for the inner loop with every hoisted subtree named once
-    and assigned in the prelude."""
+    the same text at every level.  Each side is emitted three times: as is
+    for `_instance`, and for the inner loop's checked step and stretch with
+    every hoisted subtree named once and assigned in the prelude.  In the
+    stretch, term `_t<t>` stands for the reads of one term that mentions the
+    inner variable, at index `_b<t>` with step `_a<t>`."""
     slot = _slots(identity)
     outer, inner, lo, hi = _LOOPS[identity.uses_n]
     sizes = [f"_m{k} = len(_v{k})" for k in slot.values()]
@@ -492,7 +583,7 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     prelude: list[str] = []
 
     def hoist(node: Node, text: str) -> str:
-        if any(isinstance(sub, Var) and sub.name == inner for sub in _walk(node)):
+        if _mentions(node, inner):
             return text
         if node not in hoisted:
             hoisted[node] = f"_h{len(hoisted)}"
@@ -507,9 +598,39 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
         node = getattr(identity, side)
         sides[side] = _emit(node, slot, lambda _, text: text)
         sides[f"{side}_loop"] = _emit(node, slot, hoist)
+    stretch = ["_k = 0"]
+    sides["lhs_stretch"] = sides["rhs_stretch"] = "None"
+    if _sliceable(identity.lhs, inner) and _sliceable(identity.rhs, inner):
+        terms: dict[Term, int] = {}
+
+        def read(node: Node, text: str) -> str:
+            if isinstance(node, Term) and _mentions(node, inner):
+                return f"_t{terms.setdefault(node, len(terms))}"
+            return hoist(node, text)
+
+        for side in ("lhs", "rhs"):
+            node = getattr(identity, side)
+            body = _emit(node, slot, read)
+            used = {sub: terms[sub] for sub in _walk(node) if sub in terms}
+            names = ", ".join(f"_t{t}" for t in used.values())
+            source = ", ".join(f"_reads(_v{slot[term.seq]}, _b{t}, _a{t}, _k)"
+                               for term, t in used.items())
+            if not used:
+                source = f"[{body}] * _k"
+            elif body != names:  # a side that is one term is its reads
+                source = source if len(used) == 1 else f"zip({source})"
+                source = f"[{body} for {names} in {source}]"
+            sides[f"{side}_stretch"] = source
+        stretch = []
+        for term, t in terms.items():
+            stretch.append(f"_b{t} = {_emit(term.arg, slot, hoist)}")
+            stretch.append(f"_a{t} = {_emit(_at_next(term.arg, inner), slot, hoist)} - _b{t}")
+        reads = "".join(f", (len(_v{slot[term.seq]}), _b{t}, _a{t})" for term, t in terms.items())
+        stretch.append(f"_k = _stretch({hi} - {inner} + 1{reads})")
     return _KERNEL.format(
         params=", ".join(params), **sides, sizes=block(sizes, 8),
-        prelude=block(prelude, 12), outer=outer, inner=inner, lo=lo, hi=hi)
+        prelude=block(prelude, 12), stretch=block(stretch, 16),
+        outer=outer, inner=inner, lo=lo, hi=hi)
 
 
 def _load(source: str) -> Callable[..., tuple[Callable, Callable]]:

@@ -139,13 +139,27 @@ def prefix(spec: SternLikeSpec, hi: int) -> list[int]:
     return _extend(spec, list(spec.init[:max(hi + 1, 0)]), hi + 1)
 
 
+# the most terms one round of `_extend` appends, so that its temporary lists stay small
+_ROUND = 4096
+
+
 def _extend(spec: SternLikeSpec, values: list[int], size: int) -> list[int]:
-    """Append v(len(values)) .. v(size - 1) to a prefix holding all of `init`."""
+    """Append v(len(values)) .. v(size - 1) to a prefix holding all of `init`.
+    From an even length L = 2h, one round appends k <= L - 1 terms at once:
+    v(2h + 2i) = a*v(h + i) and v(2h + 2i + 1) = b*v(h + i) + c*v(h + i + 1)
+    read only v(h) .. v(L - 1); an odd length takes one scalar step first."""
     a, b, c = spec.a, spec.b, spec.c
-    append = values.append
-    for n in range(len(values), size):
+    while (n := len(values)) < size:
         h = n >> 1  # n >= 2*n_eff, so h >= n0
-        append(b * values[h] + c * values[h + 1] if n & 1 else a * values[h])
+        if n & 1:
+            values.append(b * values[h] + c * values[h + 1])
+            continue
+        k = min(size - n, n - 1, _ROUND)
+        row = values[h:h + (k >> 1) + 1]
+        out = [0] * k
+        out[0::2] = [a * x for x in row[:(k + 1) >> 1]]
+        out[1::2] = [b * x + c * y for x, y in zip(row, row[1:])]
+        values += out
     return values
 
 
@@ -207,13 +221,16 @@ def evaluator(spec: SternLikeSpec) -> Callable[[int], int]:
 
 
 def eval_range(spec: SternLikeSpec, lo: int, hi: int) -> list[int]:
-    """[v(lo), ..., v(hi)] inclusive; memory is bounded by twice the range's length."""
+    """[v(lo), ..., v(hi)] inclusive; memory is bounded by twice the range's length.
+    One prefix, grown no further than that bound, holds the indices below it;
+    each index beyond descends onto the prefix."""
     if lo > hi:
         raise RangeError(f"empty range: lo={lo} > hi={hi}")
     if lo < 0:
         raise DomainError(f"sequence index must be >= 0, got {lo}")
-    _, value = _term_lookup(spec, min(hi + 1, 2 * (hi - lo + 1)))
-    return [value(n) for n in range(lo, hi + 1)]
+    values = prefix(spec, max(min(hi, 2 * (hi - lo) + 1), 2 * spec.n_eff))
+    beyond = range(max(lo, len(values)), hi + 1)
+    return values[lo:hi + 1] + [_term(spec, n, values) for n in beyond]
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,67 @@ def test_a_serial_scan_grows_one_prefix_across_its_levels(monkeypatch):
     assert sum(appended) == (longest[0] - 2 * n_eff) + 1
 
 
+@pytest.fixture
+def stretched(monkeypatch):
+    """The length of each stretch the kernels compute, 0 before a checked step."""
+    lengths = []
+    stretch = identities._stretch
+
+    def recording(*args):
+        lengths.append(stretch(*args))
+        return lengths[-1]
+    monkeypatch.setattr(identities, "_stretch", recording)
+    return lengths
+
+
+# edges of the kernel's stretches, each checked against the reference scan:
+# negative strides (1 and 2^e, without and with n), a zero stride, passes that
+# run past the prefix end or beyond the limit into descent, a term-free side,
+# indices and exponents that turn negative mid-pass, counterexamples inside a
+# stretch, and passes that must take checked steps only (a coefficient
+# reference, a power or a non-affine index that mentions the inner variable);
+# `sliced` says whether any stretch runs
+@pytest.mark.parametrize("text, e_max, n_max, sliced", [
+    ("s(2^e + r) - s(r) == s(2^e - r)", 6, 0, True),
+    ("t(2^e - r + 4)*t(2^e - r + 4)*t(2^e - r + 4) == t(2^e - r + 4)", 5, 0, True),
+    ("t(3*2^e - 2*r)*t(3*2^e - 2*r)*t(3*2^e - 2*r) == t(3*2^e - 2*r)", 5, 0, True),
+    ("s((0 - 1)*2^e*n + 2^(e + 3)) == s(8 - n)", 3, 8, True),
+    ("s((0 - 1)*2^e*n + 2^(e + 3)) == s(8 - n)", 3, 10, True),
+    ("t(13 - 2*n)*t(13 - 2*n)*t(13 - 2*n) == t(13 - 2*n)", 0, 6, True),
+    ("s(0*n + r)*s(n + 1) + s(2^e - r)*s(n) == s(2^e*n + r)", 4, 16, True),
+    ("t(0*n + 3)*t(n) == t(3*n)", 2, 12, True),
+    ("s(64*n) == s(n)", 0, 300, True),
+    ("s(2*n + 1) - s(n) - s(n + 1) == 0", 2, 200, True),
+    ("s(5 - n) == s(5 - n)", 1, 8, True),
+    ("s(3 - r) + s(r) == s(3 - r) + s(r)", 2, 0, True),
+    ("t(n)*t(n)*t(n) == t(n)", 2, 16, True),
+    ("t(2^e*n + r)*t(2^e*n + r)*t(2^e*n + r) == t(2^e*n + r)", 2, 7, True),
+    ("A(e + n, r)*s(n) == A(e + n, r)*s(2*n)", 3, 8, False),
+    ("A(e, r + n)*s(n) == A(e, r + n)*s(2*n)", 3, 8, False),
+    ("(0 - 1)^n*t(2*n) == (0 - 1)^(n + 1)*t(n)", 3, 8, False),
+    ("(0 - 1)^(3 - n)*s(n) == (0 - 1)^(3 - n)*s(2*n)", 1, 8, False),
+    ("s(n*n) == s(2*n*n)", 2, 12, False),
+])
+def test_stretches_meet_their_edges_as_the_reference_scan_does(stretched, text, e_max,
+                                                              n_max, sliced):
+    ident = bind_presets(parse_identity(text))
+    expected = _outcome(reference_verify, ident, e_max, n_max)
+    assert _outcome(verify, ident, e_max, n_max) == expected
+    assert (sum(stretched) > 0) == sliced
+    assert _outcome(verify, ident, e_max, n_max, jobs=2) == expected
+
+
+def test_catalog_identities_run_most_instances_in_stretches(stretched):
+    held = 0
+    for ident in catalog():
+        stretched.clear()
+        verdict = verify(ident, 4, 16)
+        if verdict.holds:  # the printed variants that fail stop within their first rows
+            held += 1
+            assert 2 * sum(stretched) > verdict.checked_count, ident.name
+    assert held >= 20
+
+
 def test_verify_leaves_no_cyclic_garbage():
     idents = [catalog_entry("prop1"), catalog_entry("z1_thm_derived")]
     gc.collect()

@@ -12,7 +12,8 @@ from sternlike import (DomainError, RangeError, SpecError, UnknownPresetError,
                        eval_range, linear_representation, make_spec,
                        parse_spec_text, preset)
 from sternlike.linrep import _CHUNK_DIGITS, _TREE_MIN_DIGITS
-from sternlike.recurrence import PRESET_NAMES, prefix
+from sternlike import recurrence
+from sternlike.recurrence import _ROUND, PRESET_NAMES, _extend, prefix
 
 from conftest import STERN_TERMS, TWISTED_TERMS
 
@@ -155,6 +156,36 @@ _REPLAYED_DIGITS = [0] + sorted({k + d for k in (_TREE_MIN_DIGITS - _CHUNK_DIGIT
                                                  _TREE_MIN_DIGITS,
                                                  _TREE_MIN_DIGITS + _CHUNK_DIGITS)
                                  for d in (-1, 0, 1)})
+
+
+@settings(deadline=None, max_examples=40)
+@given(_specs(), st.lists(st.one_of(st.integers(1, 9), st.integers(_ROUND - 2, 2 * _ROUND + 2)),
+                          min_size=1, max_size=4), st.booleans())
+def test_extend_in_rounds_matches_descent(spec, steps, odd):
+    # one prefix grown in steps from an odd or an even length; the long steps
+    # cross the round cap, the short ones leave odd and even lengths behind
+    values = prefix(spec, 2 * spec.n_eff + odd)
+    for step in steps:
+        _extend(spec, values, len(values) + step)
+    assert values == [eval_direct(spec, n) for n in range(len(values))]
+
+
+@settings(deadline=None)
+@given(_specs(), st.integers(2, 300), st.data())
+def test_eval_range_straddling_its_limit_matches_descent(spec, width, data):
+    # the window [lo, lo + width) holds index 2*width, below which the prefix
+    # serves; at or beyond it each index descends onto the prefix
+    lo = data.draw(st.integers(width + 1, 2 * width - 1))
+    grown = []
+
+    def recording(spec, hi):
+        grown.append(hi + 1)
+        return prefix(spec, hi)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recurrence, "prefix", recording)
+        values = eval_range(spec, lo, lo + width - 1)
+    assert values == [eval_direct(spec, n) for n in range(lo, lo + width)]
+    assert grown == [max(2 * width, 2 * spec.n_eff + 1)]
 
 
 @settings(deadline=None)
