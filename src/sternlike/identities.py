@@ -26,11 +26,11 @@ Values are hoisted only after the pass's first instance has been evaluated
 left to right, so the first error, or the first expensive value, the kernel
 meets is the one the scan meets first.  The rest of a pass alternates
 stretches, runs of instances whose term reads all fall inside the level's
-prefixes, computed as whole lists over prefix slices and compared at once,
-with checked steps, single instances that read left to right and alone may
-grow a prefix, descend or raise.  A scan of several levels keeps one prefix
-per sequence and grows it level by level, each level no further than its
-own grid reads.
+prefixes, computed over prefix slices and compared one instance at a time up
+to the first that differs, with checked steps, single instances that read
+left to right and alone may grow a prefix, descend, raise or report.  A scan
+of several levels keeps one prefix per sequence and grows it level by level,
+each level no further than its own grid reads.
 
 The catalog ships every identity this library asserts about the presets.
 Statements whose published closed form is questionable appear twice, as a
@@ -400,8 +400,8 @@ def _emit(node: Node, slot: dict[str, int], name: Callable[[Node, str], str]) ->
     return name(node, text)
 
 
-# the most instances one stretch of the kernel compares at once, so that its
-# temporary lists stay small
+# the most instances one stretch of the kernel reads as prefix slices, so that
+# the slices stay small
 _STRETCH = 4096
 
 
@@ -523,15 +523,18 @@ def check_instance(identity: Identity, e: int, r: int, n: int) -> tuple[int, int
 # The inner loop alternates two steps.  A stretch is the longest run of
 # instances, up to `_STRETCH`, at which every term mentioning the inner
 # variable reads an index b + a*j already inside its prefix (b and a come from
-# the index at the current value and the next); it computes each side as one
-# list over slices of the prefixes and compares the lists once.  When no
-# stretch is possible, one checked step runs the next instance as the plain
-# loop would, reading left to right; it alone can grow a prefix, descend or
-# raise.  A stretch holds only in-range, affine (so monotone) reads and
-# integer +, -, *, so it can do none of these, and it ends just before the
-# first instance that would: the scan meets every event where and in the order
-# the plain loop meets it.  A pass whose sides are not `_sliceable` takes only
-# checked steps.
+# the index at the current value and the next); it reads each such term as one
+# slice of its prefix and runs one generator over the slices that computes both
+# sides of each instance in turn and yields only the offset of the first whose
+# sides differ.  So it holds one value of each side at a time, as the plain
+# loop does, and computes nothing past that instance.  When no stretch is
+# possible, or at that differing instance, one checked step runs the instance
+# as the plain loop would, reading left to right; it alone can grow a prefix,
+# descend, raise or report.  A stretch holds only in-range, affine (so
+# monotone) reads and integer +, -, *, so it can do none of these, and it ends
+# just before the first instance that would: the scan meets every event where
+# and in the order the plain loop meets it.  A pass whose sides are not
+# `_sliceable` sets `_k = 0` once and takes only checked steps.
 _KERNEL = """\
 def _make({params}):
     def _instance(e, r, n):
@@ -549,15 +552,14 @@ def _make({params}):
             {inner} += 1
             while {inner} <= {hi}:
 {stretch}
-                if not _k:
-                    if (lhs := {lhs_loop}) != (rhs := {rhs_loop}):
-                        return r, n, lhs, rhs
-                    _k = 1
-                elif (lhs := {lhs_stretch}) != (rhs := {rhs_stretch}):
-                    _j = [x == y for x, y in zip(lhs, rhs)].index(False)
+                if _k:
+                    _j = next({mismatch}, _k)
                     {inner} += _j
-                    return r, n, lhs[_j], rhs[_j]
-                {inner} += _k
+                    if _j == _k:
+                        continue
+                if (lhs := {lhs_loop}) != (rhs := {rhs_loop}):
+                    return r, n, lhs, rhs
+                {inner} += 1
         return None
     return _instance, _level
 """
@@ -575,7 +577,8 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     for `_instance`, and for the inner loop's checked step and stretch with
     every hoisted subtree named once and assigned in the prelude.  In the
     stretch, term `_t<t>` stands for the reads of one term that mentions the
-    inner variable, at index `_b<t>` with step `_a<t>`."""
+    inner variable, at index `_b<t>` with step `_a<t>`, and `_j` for the
+    offset within the stretch."""
     slot = _slots(identity)
     outer, inner, lo, hi = _LOOPS[identity.uses_n]
     sizes = [f"_m{k} = len(_v{k})" for k in slot.values()]
@@ -591,15 +594,15 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
         return hoisted[node]
 
     def block(lines: list[str], indent: int) -> str:
-        return "\n".join(" " * indent + line for line in lines or ["pass"])
+        return "\n".join(" " * indent + line for line in lines)
 
     sides = {}
     for side in ("lhs", "rhs"):
         node = getattr(identity, side)
         sides[side] = _emit(node, slot, lambda _, text: text)
         sides[f"{side}_loop"] = _emit(node, slot, hoist)
-    stretch = ["_k = 0"]
-    sides["lhs_stretch"] = sides["rhs_stretch"] = "None"
+    stretch: list[str] = []
+    mismatch = "None"
     if _sliceable(identity.lhs, inner) and _sliceable(identity.rhs, inner):
         terms: dict[Term, int] = {}
 
@@ -608,28 +611,23 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
                 return f"_t{terms.setdefault(node, len(terms))}"
             return hoist(node, text)
 
-        for side in ("lhs", "rhs"):
-            node = getattr(identity, side)
-            body = _emit(node, slot, read)
-            used = {sub: terms[sub] for sub in _walk(node) if sub in terms}
-            names = ", ".join(f"_t{t}" for t in used.values())
-            source = ", ".join(f"_reads(_v{slot[term.seq]}, _b{t}, _a{t}, _k)"
-                               for term, t in used.items())
-            if not used:
-                source = f"[{body}] * _k"
-            elif body != names:  # a side that is one term is its reads
-                source = source if len(used) == 1 else f"zip({source})"
-                source = f"[{body} for {names} in {source}]"
-            sides[f"{side}_stretch"] = source
-        stretch = []
+        lhs, rhs = _emit(identity.lhs, slot, read), _emit(identity.rhs, slot, read)
+        names = "".join(f", _t{t}" for t in terms.values())
+        slices = "".join(f", _reads(_v{slot[term.seq]}, _b{t}, _a{t}, _k)"
+                         for term, t in terms.items())
+        # strict: a slice shorter than the stretch raises rather than skips instances
+        source = f"zip(range(_k){slices}, strict=True)" if terms else "range(_k)"
+        mismatch = f"(_j for _j{names} in {source} if {lhs} != {rhs})"
         for term, t in terms.items():
             stretch.append(f"_b{t} = {_emit(term.arg, slot, hoist)}")
             stretch.append(f"_a{t} = {_emit(_at_next(term.arg, inner), slot, hoist)} - _b{t}")
         reads = "".join(f", (len(_v{slot[term.seq]}), _b{t}, _a{t})" for term, t in terms.items())
         stretch.append(f"_k = _stretch({hi} - {inner} + 1{reads})")
+    else:
+        prelude.append("_k = 0")
     return _KERNEL.format(
         params=", ".join(params), **sides, sizes=block(sizes, 8),
-        prelude=block(prelude, 12), stretch=block(stretch, 16),
+        prelude=block(prelude, 12), stretch=block(stretch, 16), mismatch=mismatch,
         outer=outer, inner=inner, lo=lo, hi=hi)
 
 

@@ -222,15 +222,16 @@ def evaluator(spec: SternLikeSpec) -> Callable[[int], int]:
 
 def eval_range(spec: SternLikeSpec, lo: int, hi: int) -> list[int]:
     """[v(lo), ..., v(hi)] inclusive; memory is bounded by twice the range's length.
-    One prefix, grown no further than that bound, holds the indices below it;
-    each index beyond descends onto the prefix."""
+    One prefix, grown once no further than that bound, holds the indices
+    below it; each index beyond descends onto the prefix."""
     if lo > hi:
         raise RangeError(f"empty range: lo={lo} > hi={hi}")
     if lo < 0:
         raise DomainError(f"sequence index must be >= 0, got {lo}")
-    values = prefix(spec, max(min(hi, 2 * (hi - lo) + 1), 2 * spec.n_eff))
-    beyond = range(max(lo, len(values)), hi + 1)
-    return values[lo:hi + 1] + [_term(spec, n, values) for n in beyond]
+    limit = min(hi + 1, 2 * (hi - lo + 1))
+    values, value = _term_lookup(spec, limit)
+    value(min(hi, limit - 1))
+    return values[lo:hi + 1] + [value(n) for n in range(max(lo, len(values)), hi + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,15 @@ def test_verify_reports_an_early_error_without_computing_a_later_huge_power():
         2, "", "error: index of s(...) evaluated negative: -1\n")
 
 
+def test_verify_holds_one_value_of_each_side_at_a_time():
+    # each product takes about 125 KB; comparing a row's sides as whole lists
+    # of thousands of instances would need about 1 GB, the plain scan 1 MB
+    expr = "s(n)*2^1000000 == s(n)*2^1000000"
+    proc = _run_capped("verify", "--expr", expr, "--e-max", "0", "--n-max", "5000")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"identity {expr}: holds checked=10002\n", "")
+
+
 # each fails at its first level; binding the prefixes or the coefficient table
 # of a level the scan never reaches (here e = 40, 2^41 rows) exhausts 512 MB
 @pytest.mark.parametrize("expr,n_max,verdict", [

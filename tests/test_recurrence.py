@@ -13,7 +13,7 @@ from sternlike import (DomainError, RangeError, SpecError, UnknownPresetError,
                        parse_spec_text, preset)
 from sternlike.linrep import _CHUNK_DIGITS, _TREE_MIN_DIGITS
 from sternlike import recurrence
-from sternlike.recurrence import _ROUND, PRESET_NAMES, _extend, prefix
+from sternlike.recurrence import _ROUND, PRESET_NAMES, _extend, _term_lookup, prefix
 
 from conftest import STERN_TERMS, TWISTED_TERMS
 
@@ -174,18 +174,20 @@ def test_extend_in_rounds_matches_descent(spec, steps, odd):
 @given(_specs(), st.integers(2, 300), st.data())
 def test_eval_range_straddling_its_limit_matches_descent(spec, width, data):
     # the window [lo, lo + width) holds index 2*width, below which the prefix
-    # serves; at or beyond it each index descends onto the prefix
+    # serves; at or beyond it each index descends onto the prefix, which stays
+    # within the documented bound
     lo = data.draw(st.integers(width + 1, 2 * width - 1))
-    grown = []
+    lookups = []
 
-    def recording(spec, hi):
-        grown.append(hi + 1)
-        return prefix(spec, hi)
+    def recording(*args):
+        lookups.append(_term_lookup(*args))
+        return lookups[-1]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(recurrence, "prefix", recording)
+        patch.setattr(recurrence, "_term_lookup", recording)
         values = eval_range(spec, lo, lo + width - 1)
     assert values == [eval_direct(spec, n) for n in range(lo, lo + width)]
-    assert grown == [max(2 * width, 2 * spec.n_eff + 1)]
+    [(prefix_values, _)] = lookups
+    assert len(prefix_values) == max(2 * width, 2 * spec.n_eff + 1)
 
 
 @settings(deadline=None)
