@@ -8,8 +8,7 @@ brute-force Thue-Morse block-counting oracle.
 
 `import sternlike` loads no submodule: each exported name imports the
 submodule that defines it on first access (PEP 562).  Only `fetch_bfile`
-loads the network stack, and only a `verify` that starts worker processes
-loads `multiprocessing`.
+loads the network stack, and nothing starts a process.
 """
 
 from importlib import import_module

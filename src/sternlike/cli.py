@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=64)
     p.add_argument("--n-min", type=int,
                    help="lower n bound for --expr identities (default 0)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; verification runs in one process")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("series", help="run a named generating-series check")

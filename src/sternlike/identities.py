@@ -13,8 +13,7 @@ Verification is exhaustive and exact over the grid
 
 scanned in lexicographic (e, r, n) order; the first counterexample or
 evaluation error in that order decides, so a failing identity yields the
-lexicographically smallest counterexample.  The grid may be sharded by e
-across worker processes; the verdict is identical for any worker count.
+lexicographically smallest counterexample.  The scan runs in one process.
 
 Each identity is compiled, once per `verify`, into a kernel that scans one
 e-level with the r and n loops in the generated code.  The inner loop runs
@@ -28,9 +27,9 @@ meets is the one the scan meets first.  The rest of a pass alternates
 stretches, runs of instances whose term reads all fall inside the level's
 prefixes, computed over prefix slices and compared one instance at a time up
 to the first that differs, with checked steps, single instances that read
-left to right and alone may grow a prefix, descend, raise or report.  A scan
-of several levels keeps one prefix per sequence and grows it level by level,
-each level no further than its own grid reads.
+left to right and alone may grow a prefix, descend, raise or report.  The
+scan keeps one prefix per sequence and grows it level by level, each level
+no further than its own grid reads.
 
 The catalog ships every identity this library asserts about the presets.
 Statements whose published closed form is questionable appear twice, as a
@@ -41,10 +40,9 @@ discrepancy report runs both and says which survive.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, ParseError, RangeError, UnknownIdentityError
@@ -639,51 +637,35 @@ def _load(source: str) -> Callable[..., tuple[Callable, Callable]]:
     return namespace.pop("_make")
 
 
-def _scan(identity: Identity, source: str, n_hi: int, levels: range) -> Counterexample | None:
-    """The first counterexample of the e-levels `levels`, in lexicographic
-    (e, r, n) order, with n in [n_min, n_hi].  It loads the kernel `source`
-    once, and each level grows the prefixes the level before it grew."""
-    make, names, n_lo = _load(source), None, identity.n_min
-    for e in levels:
-        # every catalog index stays below 8x the level's grid (5*2^e*n + r needs 5x)
-        names = _bind(identity, e, 8 * ((1 << e) + 1) * (n_hi - n_lo + 1), names)
-        hit = make(**names)[1](e, 1 << e, n_lo, n_hi)
-        if hit is not None:
-            return Counterexample(e, *hit)
-    return None
-
-
 def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict:
     """Exhaustively check the identity on its grid; failures become verdicts.
 
     The first counterexample or error in lexicographic (e, r, n) order
-    decides, whatever the worker count: `jobs > 1` runs e-levels on at most
-    min(jobs, levels, CPUs) worker processes, and their results are read in
-    e order up to the first counterexample.  The count is the full grid,
-    sum over e <= e_max of (2^e + 1) * |n range|.  Binding errors, jobs < 1,
-    e_max < 0 and, when the identity mentions n, n_max < n_min raise before
-    any level runs.  The kernel is generated once per call; one `_scan` runs
-    all levels, growing one prefix per sequence, or each worker scans one.
+    decides.  The count is the full grid, sum over e <= e_max of
+    (2^e + 1) * |n range|.  Binding errors, jobs < 1, e_max < 0 and, when the
+    identity mentions n, n_max < n_min raise before any level runs.  `jobs` is
+    accepted for compatibility; verification runs in one process.  The kernel
+    is generated and loaded once per call, and the levels run in e order, each
+    growing the prefixes the level before it grew.
     """
-    names = _bind(identity, 0, 0)  # binding errors surface here, not in a worker
+    names = _bind(identity, 0, 0)  # binding errors surface here, before any level
     if jobs < 1:
         raise RangeError(f"jobs must be >= 1, got {jobs}")
     if e_max < 0:
         raise RangeError(f"e_max must be >= 0, got {e_max}")
     if identity.uses_n and n_max < identity.n_min:
         raise RangeError(f"n_max must be >= n_min = {identity.n_min}, got {n_max}")
-    n_hi = n_max if identity.uses_n else identity.n_min
-    count = ((2 << e_max) + e_max) * (n_hi - identity.n_min + 1)
-    scan = partial(_scan, identity, _kernel_source(identity, tuple(names)), n_hi)
-    workers = min(jobs, e_max + 1, os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = pool.map(scan, (range(e, e + 1) for e in range(e_max + 1)))
-            first = next(filter(None, hits), None)
-    else:
-        first = scan(range(e_max + 1))
-    return Verdict(first is None, count, first)
+    n_lo = identity.n_min
+    n_hi = n_max if identity.uses_n else n_lo
+    count = ((2 << e_max) + e_max) * (n_hi - n_lo + 1)
+    make = _load(_kernel_source(identity, tuple(names)))
+    for e in range(e_max + 1):
+        # every catalog index stays below 8x the level's grid (5*2^e*n + r needs 5x)
+        names = _bind(identity, e, 8 * ((1 << e) + 1) * (n_hi - n_lo + 1), names)
+        hit = make(**names)[1](e, 1 << e, n_lo, n_hi)
+        if hit is not None:
+            return Verdict(False, count, Counterexample(e, *hit))
+    return Verdict(True, count)
 
 
 # ---------------------------------------------------------------------------
@@ -849,10 +831,10 @@ class DiscrepancyReport:
         return "\n".join(lines)
 
 
-def discrepancy_report(e_max: int = 6, n_max: int = 32, jobs: int = 1) -> DiscrepancyReport:
+def discrepancy_report(e_max: int = 6, n_max: int = 32) -> DiscrepancyReport:
     """Run both variants of every two-variant family; never aborts on failure."""
     rows = []
     for identity in catalog():
         if identity.family in VARIANT_FAMILIES:
-            rows.append((identity, verify(identity, e_max, n_max, jobs=jobs)))
+            rows.append((identity, verify(identity, e_max, n_max)))
     return DiscrepancyReport(e_max, n_max, tuple(rows))

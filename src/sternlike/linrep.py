@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError, SingularSystemError
-from .recurrence import SternLikeSpec, _descent, evaluator
+from .recurrence import SternLikeSpec, _descent, _double, evaluator
 
 __all__ = [
     "CoeffTable",
@@ -70,19 +70,12 @@ class CoeffTable:
 def coeff_table(spec: SternLikeSpec, e_max: int) -> CoeffTable:
     if e_max < 0:
         raise RangeError(f"e_max must be >= 0, got {e_max}")
+    a, b, c = spec.a, spec.b, spec.c
     rows_a, rows_b = [(1, 0)], [(0, 1)]
     for _ in range(e_max):
-        rows_a.append(_next_row(spec, rows_a[-1]))
-        rows_b.append(_next_row(spec, rows_b[-1]))
+        rows_a.append(tuple(_double(a, b, c, rows_a[-1])))
+        rows_b.append(tuple(_double(a, b, c, rows_b[-1])))
     return CoeffTable(spec, e_max, tuple(rows_a), tuple(rows_b))
-
-
-def _next_row(spec: SternLikeSpec, row: Row) -> Row:
-    """Row e+1 from row e: entry 2r is a*row[r], entry 2r+1 is b*row[r] + c*row[r+1]."""
-    out = [0] * (2 * len(row) - 1)
-    out[0::2] = [spec.a * x for x in row]
-    out[1::2] = [spec.b * x + spec.c * y for x, y in zip(row, row[1:])]
-    return tuple(out)
 
 
 def coeffs(table: CoeffTable, e: int, r: int) -> tuple[int, int]:

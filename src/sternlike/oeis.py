@@ -147,5 +147,9 @@ def fetch_bfile(a_number: str, timeout: float = 30.0) -> BFileTable:
     import urllib.request  # the network stack loads only when a fetch is asked for
     url = bfile_url(a_number)
     with urllib.request.urlopen(url, timeout=timeout) as response:
-        text = response.read().decode("utf-8")
+        body = response.read()
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BFileError(f"{url}: not UTF-8 text ({exc})") from None
     return parse_bfile(text, source=url)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, RangeError, SpecError, UnknownPresetError
 
@@ -143,6 +143,15 @@ def prefix(spec: SternLikeSpec, hi: int) -> list[int]:
 _ROUND = 4096
 
 
+def _double(a: int, b: int, c: int, row: Sequence[int]) -> list[int]:
+    """One doubling step over a run x_0 .. x_m: entry 2i is a*x_i and entry
+    2i + 1 is b*x_i + c*x_(i+1), 2m + 1 entries in all."""
+    out = [0] * (2 * len(row) - 1)
+    out[0::2] = [a * x for x in row]
+    out[1::2] = [b * x + c * y for x, y in zip(row, row[1:])]
+    return out
+
+
 def _extend(spec: SternLikeSpec, values: list[int], size: int) -> list[int]:
     """Append v(len(values)) .. v(size - 1) to a prefix holding all of `init`.
     From an even length L = 2h, one round appends k <= L - 1 terms at once:
@@ -155,10 +164,9 @@ def _extend(spec: SternLikeSpec, values: list[int], size: int) -> list[int]:
             values.append(b * values[h] + c * values[h + 1])
             continue
         k = min(size - n, n - 1, _ROUND)
-        row = values[h:h + (k >> 1) + 1]
-        out = [0] * k
-        out[0::2] = [a * x for x in row[:(k + 1) >> 1]]
-        out[1::2] = [b * x + c * y for x, y in zip(row, row[1:])]
+        out = _double(a, b, c, values[h:h + (k >> 1) + 1])
+        if not k & 1:
+            out.pop()
         values += out
     return values
 

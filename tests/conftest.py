@@ -9,6 +9,22 @@ STERN_TERMS = [0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4, 1]
 TWISTED_TERMS = [0, 1, -1, 0, 1, 1, 0, -1, -1, -2, -1, -1, 0, 1, 1, 2]
 
 
+class FakeResponse:
+    """Stands in for an HTTP response: a context manager with a fixed body."""
+
+    def __init__(self, body: bytes = b"0 0\n1 1\n2 1\n"):
+        self.body = body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return self.body
+
+
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES

@@ -6,6 +6,7 @@ import random
 import shlex
 import subprocess
 import sys
+import urllib.request
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from sternlike import catalog, cli, oeis
 from sternlike.cli import main
 
-from conftest import FIXTURES, STERN_TERMS
+from conftest import FIXTURES, STERN_TERMS, FakeResponse
 
 
 def run(capsys, *argv):
@@ -478,6 +479,15 @@ def test_undecodable_bfile_is_a_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "oeis", "check", "stern", "--bfile", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}: not UTF-8 text (")
+    assert err.count("\n") == 1
+
+
+def test_undecodable_fetched_bfile_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda url, timeout: FakeResponse(b"1 1\n2 \xff\n"))
+    code, out, err = run(capsys, "oeis", "check", "stern", "--fetch")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {oeis.bfile_url('A002487')}: not UTF-8 text (")
     assert err.count("\n") == 1
 
 

@@ -1,6 +1,5 @@
 """Identity grammar, catalog, and the exhaustive verifier."""
 
-import concurrent.futures
 import gc
 import random
 from dataclasses import replace
@@ -173,52 +172,15 @@ def test_verify_rejects_fewer_than_one_job():
             verify(catalog_entry("prop1"), 2, 4, jobs=jobs)
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size, runs in-process."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
-@pytest.mark.parametrize("jobs,levels,cpus,size", [
-    (64, 3, 8, 3),       # capped by the number of e-levels
-    (64, 11, 4, 4),      # capped by the CPU count
-    (3, 11, 8, 3),       # as asked
-    (8, 1, 8, None),     # one level: no pool
-    (8, 11, 1, None),    # one CPU: no pool
-])
-def test_verify_caps_worker_pool(monkeypatch, jobs, levels, cpus, size):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(identities.os, "cpu_count", lambda: cpus)
-    _RecordingPool.sizes = []
-    ident = catalog_entry("z3_cor_printed")
-    assert verify(ident, levels - 1, 8, jobs=jobs) == verify(ident, levels - 1, 8)
-    assert _RecordingPool.sizes == ([] if size is None else [size])
-
-
 @pytest.mark.parametrize("ident,message", [
     (bind_presets(parse_identity("A(e, r)*s(n) == t(n)")), "exactly one bound sequence"),
     (bind_presets(parse_identity("A(e, r) == B(e, r)")), "exactly one bound sequence"),
     (parse_identity("s(n) == s(n)"), "unbound sequence names: s"),
 ])
-def test_verify_binding_errors_raise_before_any_level(monkeypatch, ident, message):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    _RecordingPool.sizes = []
+def test_verify_binding_errors_raise_before_any_level(ident, message):
     for jobs in (1, 4):
         with pytest.raises(DomainError, match=message):
             verify(ident, 3, 4, jobs=jobs)
-    assert _RecordingPool.sizes == []
 
 
 def test_verify_coefficients_accept_one_spec_under_two_names():
@@ -313,7 +275,7 @@ def test_verify_is_the_first_event_of_the_lexicographic_scan():
         n_max = rng.randint(ident.n_min, 6)
         expected = _outcome(reference_verify, ident, e_max, n_max)
         assert _outcome(verify, ident, e_max, n_max) == expected, (ident.text, e_max, n_max)
-        # the pool path too, wherever a later level could run or raise
+        # jobs changes nothing, wherever a later level could run or raise
         later_levels = (not isinstance(expected, tuple) and not expected.holds
                         and expected.counterexample.e < e_max)
         if later_levels or case % 15 == 0:
@@ -344,12 +306,12 @@ def _clashing_identity(rng):
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(), st.integers(0, 3), st.integers(0, 6), st.booleans(), st.booleans())
-def test_verify_matches_the_reference_scan_on_drawn_identities(seed, e_max, n_max, pooled, clash):
+def test_verify_matches_the_reference_scan_on_drawn_identities(seed, e_max, n_max, rerun, clash):
     ident = (_clashing_identity if clash else _random_identity)(random.Random(seed))
     n_max = max(n_max, ident.n_min)
     expected = _outcome(reference_verify, ident, e_max, n_max)
     assert _outcome(verify, ident, e_max, n_max) == expected, ident.text
-    if pooled:
+    if rerun:
         assert _outcome(verify, ident, e_max, n_max, jobs=2) == expected, ident.text
 
 
@@ -393,11 +355,10 @@ def test_a_serial_scan_grows_one_prefix_across_its_levels(monkeypatch):
     monkeypatch.setattr(recurrence, "_extend", counting_extend)
     entry = catalog_entry("prop1")
     assert verify(entry, 6, 32).holds
-    # the scan's prefix starts from the 2*n_eff initial values and keeps every
-    # term it appends; the one other prefix is the early binding check's,
-    # which gets the single term any fresh prefix gets and never grows
+    # the one prefix, the early binding check's, starts from the 2*n_eff
+    # initial values and keeps every term the scan appends to it
     n_eff = preset("stern").n_eff
-    assert sum(appended) == (longest[0] - 2 * n_eff) + 1
+    assert sum(appended) == longest[0] - 2 * n_eff
 
 
 @pytest.fixture

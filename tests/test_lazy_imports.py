@@ -36,7 +36,7 @@ NETWORK_AND_POOL = ("urllib.request", "http.client", "ssl", "concurrent.futures.
 
 @pytest.mark.parametrize("code,unwanted", [
     ("import sternlike", NETWORK_AND_POOL + ("sternlike.identities",)),
-    # only fetch_bfile and a verify with workers import these
+    # only fetch_bfile imports the network stack, and nothing starts a process
     ("from sternlike import cli, identities, linrep, oeis, recurrence, series, tm_oracle",
      NETWORK_AND_POOL),
 ])
@@ -50,6 +50,14 @@ def test_cli_eval_loads_only_what_it_calls():
     code = "import sternlike.cli\nsternlike.cli.main(['eval', 'stern', '5'])"
     # eval prints s(5) = 3 first; linrep, which it calls, shows the probe works
     assert _modules_loaded_after(code, names) == ["3", "sternlike.linrep"]
+
+
+def test_cli_verify_with_jobs_starts_no_process():
+    code = ("import sternlike.cli\nsternlike.cli.main(['verify', 'prop1', '--e-max', '3', "
+            "'--n-max', '8', '--jobs', '2'])")
+    # the verdict line comes first; neither pool module follows it
+    loaded = _modules_loaded_after(code, ("concurrent.futures.process", "multiprocessing"))
+    assert loaded == "identity prop1: holds checked=171".split()
 
 
 def test_star_import_binds_every_exported_name():

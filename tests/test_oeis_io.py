@@ -12,7 +12,7 @@ from sternlike.oeis import PRESET_OEIS_IDS, bfile_url
 from sternlike.recurrence import PRESET_NAMES
 from sternlike.tm_oracle import factor_complexity, thue_morse_prefix
 
-from conftest import STERN_TERMS
+from conftest import STERN_TERMS, FakeResponse
 
 
 def test_parse_bfile_examples():
@@ -116,27 +116,23 @@ def test_bfile_url_and_id_table():
     assert PRESET_OEIS_IDS["tm_complexity_shift"] == ("A005942", 1)
 
 
-class _FakeResponse:
-    """Stands in for an HTTP response: a context manager with a fixed body."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def read(self):
-        return b"0 0\n1 1\n2 1\n"
-
-
 def test_fetch_bfile_parses_the_downloaded_text_offline(monkeypatch):
     requests = []
 
     def urlopen(url, timeout):
         requests.append(url)
-        return _FakeResponse()
+        return FakeResponse()
 
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
     table = fetch_bfile("A002487")
     assert requests == [bfile_url("A002487")]
     assert (table.records, table.source) == (((0, 0), (1, 1), (2, 1)), bfile_url("A002487"))
+
+
+def test_fetch_bfile_rejects_a_body_that_is_not_utf8(monkeypatch):
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda url, timeout: FakeResponse(b"1 1\n2 \xff\n"))
+    with pytest.raises(BFileError) as err:
+        fetch_bfile("A002487")
+    assert str(err.value).startswith(f"{bfile_url('A002487')}: not UTF-8 text (")
+    assert err.value.line_no is None
