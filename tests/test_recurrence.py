@@ -158,6 +158,23 @@ _REPLAYED_DIGITS = [0] + sorted({k + d for k in (_TREE_MIN_DIGITS - _CHUNK_DIGIT
                                  for d in (-1, 0, 1)})
 
 
+def test_double_examples():
+    assert recurrence._double(2, 3, 5, [7]) == [14]
+    assert recurrence._double(2, 3, 5, [1, 10, 100]) == [2, 53, 20, 530, 200]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_double_maps_a_run_onto_the_next_level(name):
+    # v(h) .. v(h + m) doubles to v(2h) .. v(2h + 2m), checked against descent
+    spec = preset(name)
+    a, b, c = spec.a, spec.b, spec.c
+    for h in range(spec.n_eff, spec.n_eff + 24):
+        for m in range(6):
+            run = [eval_direct(spec, h + i) for i in range(m + 1)]
+            expected = [eval_direct(spec, 2 * h + j) for j in range(2 * m + 1)]
+            assert recurrence._double(a, b, c, run) == expected, (h, m)
+
+
 @settings(deadline=None, max_examples=40)
 @given(_specs(), st.lists(st.one_of(st.integers(1, 9), st.integers(_ROUND - 2, 2 * _ROUND + 2)),
                           min_size=1, max_size=4), st.booleans())
