@@ -1,0 +1,272 @@
+"""The expression language of sequence identities: AST, parser and printer.
+
+An identity is `expr == expr` where each side is a sum of products of
+integer constants, powers with a constant base such as (0 - 1)^e, sequence
+terms like s(2^e*n + r), and coefficient references A(e, r) / B(e, r).
+Index expressions use +, -, *, powers of integer literals, and the
+quantified variables e, r, n.  `parse_equation` returns both sides,
+validated; `render` prints a node in canonical form, which parses back to
+the same tree.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+
+from .errors import ParseError
+
+__all__ = [
+    "Lit", "Var", "BinOp", "Term", "Coeff", "Node",
+    "VARIABLES", "COEFF_NAMES", "OPS", "walk", "mentions", "parse_equation", "render",
+]
+
+
+# ---------------------------------------------------------------------------
+# AST
+
+
+@dataclass(frozen=True)
+class Lit:
+    value: int
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str
+
+
+@dataclass(frozen=True)
+class BinOp:
+    op: str  # a key of OPS; for "^", lhs is the base and rhs the exponent
+    lhs: "Node"
+    rhs: "Node"
+
+
+@dataclass(frozen=True)
+class Term:
+    seq: str
+    arg: "Node"
+
+
+@dataclass(frozen=True)
+class Coeff:
+    kind: str  # "A" or "B"
+    e_arg: "Node"
+    r_arg: "Node"
+
+
+Node = Lit | Var | BinOp | Term | Coeff
+
+VARIABLES = ("e", "r", "n")
+COEFF_NAMES = ("A", "B")
+
+# op -> (precedence, lhs context, rhs context, separator), with the grammar's
+# levels 1 expr, 2 term, 3 factor and _ATOM for everything else: a child whose
+# precedence is below its context is parenthesised.
+_ATOM = 4
+OPS: dict[str, tuple[int, int, int, str]] = {
+    "+": (1, 1, 2, " + "),
+    "-": (1, 1, 2, " - "),
+    "*": (2, 2, 3, "*"),
+    "^": (3, _ATOM, _ATOM, "^"),
+}
+
+
+def walk(node: Node):
+    """Every node of the tree under `node`, itself first, in preorder."""
+    yield node
+    for attr in ("lhs", "rhs", "arg", "e_arg", "r_arg"):
+        child = getattr(node, attr, None)
+        if child is not None:
+            yield from walk(child)
+
+
+def mentions(node: Node, var: str) -> bool:
+    """Whether `var` occurs in `node`; code generation asks this of every
+    subtree, so it recurses directly rather than through `walk`."""
+    if isinstance(node, BinOp):
+        return mentions(node.lhs, var) or mentions(node.rhs, var)
+    if isinstance(node, Term):
+        return mentions(node.arg, var)
+    if isinstance(node, Coeff):
+        return mentions(node.e_arg, var) or mentions(node.r_arg, var)
+    return isinstance(node, Var) and node.name == var
+
+
+# ---------------------------------------------------------------------------
+# Parsing
+
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(==)|([+\-*^(),]))")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None:
+            tail = text[pos:].strip()
+            if not tail:
+                break
+            raise ParseError(f"unexpected character {tail[0]!r}", pos + text[pos:].index(tail[0]))
+        start = match.start(match.lastindex)
+        if match.group(1):
+            tokens.append(("int", match.group(1), start))
+        elif match.group(2):
+            tokens.append(("name", match.group(2), start))
+        elif match.group(3):
+            tokens.append(("eq", "==", start))
+        else:
+            tokens.append(("op", match.group(4), start))
+        pos = match.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+# Bounds the parser's recursion and the AST's depth (to twice this): the AST
+# passes and the Python compiler of the generated kernel fail far deeper.
+_MAX_DEPTH = 50
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.index = 0
+        self.depth = 0
+
+    def deeper(self) -> int:
+        """Count one more nesting level or chained operator; returns the old depth."""
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {_MAX_DEPTH} levels",
+                             self.peek()[2])
+        return self.depth - 1
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.index]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
+
+    def expect(self, kind: str, value: str | None = None) -> tuple[str, str, int]:
+        tok = self.next()
+        if tok[0] != kind or (value is not None and tok[1] != value):
+            want = value or kind
+            raise ParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
+        return tok
+
+    def parse_expr(self, prec: int = 1) -> Node:
+        """Operators of precedence >= prec.  One whose lhs context is its own
+        precedence chains, each link one depth level; "^" joins two atoms."""
+        if prec == _ATOM:
+            return self.parse_atom()
+        outer = self.deeper() if prec == 1 else self.depth
+        if prec == 1 and self.peek()[:2] == ("op", "-"):
+            self.next()
+            node: Node = BinOp("-", Lit(0), self.parse_expr(2))
+        else:
+            node = self.parse_expr(prec + 1)
+        while self.peek()[0] == "op" and OPS.get(self.peek()[1], (0,))[0] == prec:
+            op = self.next()[1]
+            _, lhs_ctx, rhs_ctx, _ = OPS[op]
+            chains = lhs_ctx == prec
+            if chains:
+                self.deeper()
+            node = BinOp(op, node, self.parse_expr(rhs_ctx))
+            if not chains:
+                break
+        self.depth = outer
+        return node
+
+    def parse_atom(self) -> Node:
+        kind, value, pos = self.next()
+        if kind == "int":
+            return Lit(int(value))
+        if kind == "op" and value == "(":
+            inner = self.parse_expr()
+            self.expect("op", ")")
+            return inner
+        if kind == "name":
+            if self.peek()[:2] == ("op", "("):
+                self.next()
+                first = self.parse_expr()
+                if self.peek()[:2] == ("op", ","):
+                    self.next()
+                    second = self.parse_expr()
+                    self.expect("op", ")")
+                    if value not in COEFF_NAMES:
+                        raise ParseError(
+                            f"{value!r} is not a coefficient reference; only "
+                            f"{' and '.join(COEFF_NAMES)} take two arguments", pos)
+                    return Coeff(value, first, second)
+                self.expect("op", ")")
+                if value in COEFF_NAMES:
+                    raise ParseError(
+                        f"{value!r} is reserved for coefficient references "
+                        f"{value}(e, r) and takes two arguments", pos)
+                return Term(value, first)
+            if value in VARIABLES:
+                return Var(value)
+            raise ParseError(f"unknown variable {value!r} (variables are e, r, n)", pos)
+        raise ParseError(f"unexpected token {value or 'end of input'!r}", pos)
+
+
+def _is_constant(node: Node) -> bool:
+    return all(isinstance(sub, (Lit, BinOp)) for sub in walk(node))
+
+
+def _validate(node: Node, in_index: bool) -> None:
+    if isinstance(node, Term):
+        if in_index:
+            raise ParseError(f"sequence term {node.seq}(...) cannot appear inside an index expression")
+        _validate(node.arg, True)
+    elif isinstance(node, Coeff):
+        if in_index:
+            raise ParseError(f"coefficient reference {node.kind}(...) cannot appear inside an index expression")
+        _validate(node.e_arg, True)
+        _validate(node.r_arg, True)
+    elif isinstance(node, Var):
+        if not in_index:
+            raise ParseError(f"bare variable {node.name!r} outside an index or exponent position")
+    elif isinstance(node, BinOp):
+        if node.op == "^":
+            if not _is_constant(node.lhs):
+                raise ParseError("the base of a power must be an integer constant expression")
+            _validate(node.rhs, True)
+        else:
+            _validate(node.lhs, in_index)
+            _validate(node.rhs, in_index)
+
+
+def parse_equation(text: str) -> tuple[Node, Node]:
+    """The two sides of `expr == expr`, parsed and validated."""
+    parser = _Parser(text)
+    lhs = parser.parse_expr()
+    parser.expect("eq")
+    rhs = parser.parse_expr()
+    tok = parser.peek()
+    if tok[0] != "end":
+        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    _validate(lhs, False)
+    _validate(rhs, False)
+    return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# Printing (canonical form; re-parsing it reproduces the AST)
+
+def render(node: Node, _ctx: int = 1) -> str:
+    if isinstance(node, BinOp):
+        prec, lhs_ctx, rhs_ctx, sep = OPS[node.op]
+        body = f"{render(node.lhs, lhs_ctx)}{sep}{render(node.rhs, rhs_ctx)}"
+        return f"({body})" if prec < _ctx else body
+    if isinstance(node, Lit):
+        return str(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Term):
+        return f"{node.seq}({render(node.arg)})"
+    return f"{node.kind}({render(node.e_arg)}, {render(node.r_arg)})"

@@ -1,11 +1,10 @@
-"""A small expression language for sequence identities, and a verified catalog.
+"""Sequence identities: binding, the exhaustive verifier, and a verified catalog.
 
-An identity is `expr == expr` where each side is a sum of products of
-integer constants, powers with a constant base such as (0 - 1)^e, sequence
-terms like s(2^e*n + r), and coefficient references A(e, r) / B(e, r) that
-resolve through the coefficient table of the identity's one bound sequence.
-Index expressions use +, -, *, powers of integer literals, and the
-quantified variables e, r, n.
+An identity is `expr == expr` in the expression language of `expr`: each
+side is a sum of products of integer constants, powers with a constant base,
+sequence terms like s(2^e*n + r), and coefficient references A(e, r) /
+B(e, r) that resolve through the coefficient table of the identity's one
+bound sequence.
 
 Verification is exhaustive and exact over the grid
 
@@ -29,7 +28,18 @@ prefixes, computed over prefix slices and compared one instance at a time up
 to the first that differs, with checked steps, single instances that read
 left to right and alone may grow a prefix, descend, raise or report.  The
 scan keeps one prefix per sequence and grows it level by level, each level
-no further than its own grid reads.
+no further than the largest index its terms read at its four (r, n)
+corners when their indices are affine in r and in n, and than 8x its grid
+otherwise.
+
+When both sides are affine in the terms that mention n, each row (e, r) is
+first certified for all n: Reznick's relation v(2^j*m + p) = A(j, p)*v(m) +
+B(j, p)*v(m + 1) turns the row into a linear relation among a few shifts
+v(n + i), which holds for every large n exactly when it is orthogonal to the
+span of the sequence's shift windows (see `_Proof`).  A certified row scans
+only its instances below the certificate's start, mostly just its first; a
+refused row is scanned whole.  Verdicts, counts, counterexamples and errors
+are the scan's either way.
 
 The catalog ships every identity this library asserts about the presets.
 Statements whose published closed form is questionable appear twice, as a
@@ -40,14 +50,18 @@ discrepancy report runs both and says which survive.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, replace
-from functools import cache
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property, partial
+from math import gcd
+from operator import mul
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, ParseError, RangeError, UnknownIdentityError
+from .errors import DomainError, RangeError, UnknownIdentityError
+from .expr import (COEFF_NAMES, OPS, VARIABLES, BinOp, Coeff, Lit, Node, Term, Var, mentions,
+                   parse_equation, render, walk)
 from .linrep import CoeffTable, coeff_at, coeff_table
-from .recurrence import PRESET_ALIASES, PRESET_NAMES, SternLikeSpec, _term_lookup, preset
+from .recurrence import (PRESET_ALIASES, PRESET_NAMES, SternLikeSpec, _term_lookup,
+                         eval_direct, preset)
 
 __all__ = [
     "Lit", "Var", "BinOp", "Term", "Coeff",
@@ -57,233 +71,6 @@ __all__ = [
     "check_instance", "verify",
     "VARIANT_FAMILIES", "DiscrepancyReport", "discrepancy_report",
 ]
-
-
-# ---------------------------------------------------------------------------
-# AST
-
-
-@dataclass(frozen=True)
-class Lit:
-    value: int
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # a key of _OPS; for "^", lhs is the base and rhs the exponent
-    lhs: "Node"
-    rhs: "Node"
-
-
-@dataclass(frozen=True)
-class Term:
-    seq: str
-    arg: "Node"
-
-
-@dataclass(frozen=True)
-class Coeff:
-    kind: str  # "A" or "B"
-    e_arg: "Node"
-    r_arg: "Node"
-
-
-Node = Lit | Var | BinOp | Term | Coeff
-
-_VARIABLES = ("e", "r", "n")
-_COEFF_NAMES = ("A", "B")
-
-# op -> (precedence, lhs context, rhs context, separator), with the grammar's
-# levels 1 expr, 2 term, 3 factor and _ATOM for everything else: a child whose
-# precedence is below its context is parenthesised.
-_ATOM = 4
-_OPS: dict[str, tuple[int, int, int, str]] = {
-    "+": (1, 1, 2, " + "),
-    "-": (1, 1, 2, " - "),
-    "*": (2, 2, 3, "*"),
-    "^": (3, _ATOM, _ATOM, "^"),
-}
-
-
-def _walk(node: Node):
-    yield node
-    for attr in ("lhs", "rhs", "arg", "e_arg", "r_arg"):
-        child = getattr(node, attr, None)
-        if child is not None:
-            yield from _walk(child)
-
-
-def _mentions(node: Node, var: str) -> bool:
-    return any(isinstance(sub, Var) and sub.name == var for sub in _walk(node))
-
-
-# ---------------------------------------------------------------------------
-# Parsing
-
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(==)|([+\-*^(),]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            tail = text[pos:].strip()
-            if not tail:
-                break
-            raise ParseError(f"unexpected character {tail[0]!r}", pos + text[pos:].index(tail[0]))
-        start = match.start(match.lastindex)
-        if match.group(1):
-            tokens.append(("int", match.group(1), start))
-        elif match.group(2):
-            tokens.append(("name", match.group(2), start))
-        elif match.group(3):
-            tokens.append(("eq", "==", start))
-        else:
-            tokens.append(("op", match.group(4), start))
-        pos = match.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-# Bounds the parser's recursion and the AST's depth (to twice this): the AST
-# passes and the Python compiler of the generated kernel fail far deeper.
-_MAX_DEPTH = 50
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.index = 0
-        self.depth = 0
-
-    def deeper(self) -> int:
-        """Count one more nesting level or chained operator; returns the old depth."""
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ParseError(f"expression nests deeper than {_MAX_DEPTH} levels",
-                             self.peek()[2])
-        return self.depth - 1
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect(self, kind: str, value: str | None = None) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value or kind
-            raise ParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        return tok
-
-    def parse_expr(self, prec: int = 1) -> Node:
-        """Operators of precedence >= prec.  One whose lhs context is its own
-        precedence chains, each link one depth level; "^" joins two atoms."""
-        if prec == _ATOM:
-            return self.parse_atom()
-        outer = self.deeper() if prec == 1 else self.depth
-        if prec == 1 and self.peek()[:2] == ("op", "-"):
-            self.next()
-            node: Node = BinOp("-", Lit(0), self.parse_expr(2))
-        else:
-            node = self.parse_expr(prec + 1)
-        while self.peek()[0] == "op" and _OPS.get(self.peek()[1], (0,))[0] == prec:
-            op = self.next()[1]
-            _, lhs_ctx, rhs_ctx, _ = _OPS[op]
-            chains = lhs_ctx == prec
-            if chains:
-                self.deeper()
-            node = BinOp(op, node, self.parse_expr(rhs_ctx))
-            if not chains:
-                break
-        self.depth = outer
-        return node
-
-    def parse_atom(self) -> Node:
-        kind, value, pos = self.next()
-        if kind == "int":
-            return Lit(int(value))
-        if kind == "op" and value == "(":
-            inner = self.parse_expr()
-            self.expect("op", ")")
-            return inner
-        if kind == "name":
-            if self.peek()[:2] == ("op", "("):
-                self.next()
-                first = self.parse_expr()
-                if self.peek()[:2] == ("op", ","):
-                    self.next()
-                    second = self.parse_expr()
-                    self.expect("op", ")")
-                    if value not in _COEFF_NAMES:
-                        raise ParseError(
-                            f"{value!r} is not a coefficient reference; only "
-                            f"{' and '.join(_COEFF_NAMES)} take two arguments", pos)
-                    return Coeff(value, first, second)
-                self.expect("op", ")")
-                if value in _COEFF_NAMES:
-                    raise ParseError(
-                        f"{value!r} is reserved for coefficient references "
-                        f"{value}(e, r) and takes two arguments", pos)
-                return Term(value, first)
-            if value in _VARIABLES:
-                return Var(value)
-            raise ParseError(f"unknown variable {value!r} (variables are e, r, n)", pos)
-        raise ParseError(f"unexpected token {value or 'end of input'!r}", pos)
-
-
-def _is_constant(node: Node) -> bool:
-    return all(isinstance(sub, (Lit, BinOp)) for sub in _walk(node))
-
-
-def _validate(node: Node, in_index: bool) -> None:
-    if isinstance(node, Term):
-        if in_index:
-            raise ParseError(f"sequence term {node.seq}(...) cannot appear inside an index expression")
-        _validate(node.arg, True)
-    elif isinstance(node, Coeff):
-        if in_index:
-            raise ParseError(f"coefficient reference {node.kind}(...) cannot appear inside an index expression")
-        _validate(node.e_arg, True)
-        _validate(node.r_arg, True)
-    elif isinstance(node, Var):
-        if not in_index:
-            raise ParseError(f"bare variable {node.name!r} outside an index or exponent position")
-    elif isinstance(node, BinOp):
-        if node.op == "^":
-            if not _is_constant(node.lhs):
-                raise ParseError("the base of a power must be an integer constant expression")
-            _validate(node.rhs, True)
-        else:
-            _validate(node.lhs, in_index)
-            _validate(node.rhs, in_index)
-
-
-# ---------------------------------------------------------------------------
-# Printing (canonical form; re-parsing it reproduces the AST)
-
-def render(node: Node, _ctx: int = 1) -> str:
-    if isinstance(node, BinOp):
-        prec, lhs_ctx, rhs_ctx, sep = _OPS[node.op]
-        body = f"{render(node.lhs, lhs_ctx)}{sep}{render(node.rhs, rhs_ctx)}"
-        return f"({body})" if prec < _ctx else body
-    if isinstance(node, Lit):
-        return str(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Term):
-        return f"{node.seq}({render(node.arg)})"
-    return f"{node.kind}({render(node.e_arg)}, {render(node.r_arg)})"
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +87,15 @@ class Counterexample(NamedTuple):
 
 @dataclass(frozen=True)
 class Verdict:
+    """`path` is "proof" when every row of the grid was certified for all n,
+    and "grid" otherwise; `scope` says which n the verdict covers.  Neither
+    takes part in equality."""
+
     holds: bool
     checked_count: int
     counterexample: Counterexample | None = None
+    path: str = field(default="grid", compare=False)
+    scope: str = field(default="n_min ≤ n ≤ N", compare=False)
 
 
 @dataclass(frozen=True)
@@ -327,35 +120,36 @@ class Identity:
     def text(self) -> str:
         return f"{render(self.lhs)} == {render(self.rhs)}"
 
-    @property
+    # the AST is walked once per identity for each of these
+    @cached_property
     def seq_names(self) -> tuple[str, ...]:
-        seen = []
-        for node in (*_walk(self.lhs), *_walk(self.rhs)):
-            if isinstance(node, Term) and node.seq not in seen:
-                seen.append(node.seq)
-        return tuple(seen)
+        return tuple(dict.fromkeys(node.seq for node in self._terms))
 
-    @property
+    @cached_property
+    def _terms(self) -> tuple[Term, ...]:
+        return tuple(node for side in (self.lhs, self.rhs) for node in walk(side)
+                     if isinstance(node, Term))
+
+    @cached_property
     def uses_coeffs(self) -> bool:
-        return any(isinstance(node, Coeff) for node in (*_walk(self.lhs), *_walk(self.rhs)))
+        return any(isinstance(node, Coeff) for node in (*walk(self.lhs), *walk(self.rhs)))
 
-    @property
+    @cached_property
     def uses_n(self) -> bool:
-        return _mentions(self.lhs, "n") or _mentions(self.rhs, "n")
+        return mentions(self.lhs, "n") or mentions(self.rhs, "n")
+
+    @cached_property
+    def affine_in_n(self) -> bool:
+        """Whether `verify` can certify its rows for all n: it mentions n,
+        only inside term indices of degree 1 in n, and each product of its
+        sides holds at most one such term."""
+        return self.uses_n and all(_affine_degree(side, "n") in (0, 1)
+                                   for side in (self.lhs, self.rhs))
 
 
 def parse_identity(text: str) -> Identity:
     """Parse `expr == expr`; ranges and bindings come later."""
-    parser = _Parser(text)
-    lhs = parser.parse_expr()
-    parser.expect("eq")
-    rhs = parser.parse_expr()
-    tok = parser.peek()
-    if tok[0] != "end":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    _validate(lhs, False)
-    _validate(rhs, False)
-    return Identity("", lhs, rhs)
+    return Identity("", *parse_equation(text))
 
 
 def bind_presets(identity: Identity, **overrides: SternLikeSpec) -> Identity:
@@ -388,7 +182,7 @@ def _emit(node: Node, slot: dict[str, int], name: Callable[[Node, str], str]) ->
         return node.name
     if isinstance(node, BinOp):
         lhs, rhs = _emit(node.lhs, slot, name), _emit(node.rhs, slot, name)
-        text = f"_ip({lhs}, {rhs})" if node.op == "^" else f"({lhs}{_OPS[node.op][3]}{rhs})"
+        text = f"_ip({lhs}, {rhs})" if node.op == "^" else f"({lhs}{OPS[node.op][3]}{rhs})"
     elif isinstance(node, Term):
         k, index = slot[node.seq], _emit(node.arg, slot, name)
         text = (f"(_v{k}[_i] if 0 <= (_i := {index}) < _m{k} "
@@ -438,14 +232,161 @@ def _degree(node: Node, var: str) -> int:
     return min(lhs + rhs if node.op == "*" else max(lhs, rhs), 2)
 
 
-def _sliceable(node: Node, var: str) -> bool:
-    """Whether every subtree of a side that mentions `var` is +, -, * or a
-    term whose index has degree at most 1 in `var`."""
+def _affine_degree(node: Node, var: str) -> int | None:
+    """The degree of a side in its terms that mention `var`, or None unless
+    every subtree that mentions `var` is +, -, * or a term whose index has
+    degree at most 1 in `var` (so exactly 1)."""
+    if not mentions(node, var):
+        return 0
     if isinstance(node, Term):
-        return _degree(node.arg, var) <= 1
+        return 1 if _degree(node.arg, var) <= 1 else None
     if isinstance(node, BinOp) and node.op != "^":
-        return _sliceable(node.lhs, var) and _sliceable(node.rhs, var)
-    return not _mentions(node, var)
+        lhs, rhs = _affine_degree(node.lhs, var), _affine_degree(node.rhs, var)
+        if lhs is not None and rhs is not None:
+            return lhs + rhs if node.op == "*" else max(lhs, rhs)
+    return None
+
+
+def _linear(node: Node, terms: dict[Term, int],
+            constant: Callable[[Node], str]) -> tuple[str, dict[int, str]]:
+    """Source for c and for each k_t such that a side or subtree of
+    `_affine_degree` at most 1 in n equals c + sum of k_t*T_t over the terms
+    T_t that mention n, t = terms[T_t]; `constant` gives the source of a
+    subtree free of n."""
+    if not mentions(node, "n"):
+        return constant(node), {}
+    if isinstance(node, Term):
+        return "0", {terms[node]: "1"}
+    lhs, rhs = _linear(node.lhs, terms, constant), _linear(node.rhs, terms, constant)
+    if node.op == "*":  # one factor is free of n
+        (k, _), (c, form) = (lhs, rhs) if not lhs[1] else (rhs, lhs)
+        return f"({k}*{c})", {t: f"({k}*{x})" for t, x in form.items()}
+    sep = OPS[node.op][3]
+    form = dict(lhs[1])
+    for t, x in rhs[1].items():
+        form[t] = f"({form.get(t, '0')}{sep}{x})"
+    return f"({lhs[0]}{sep}{rhs[0]})", form
+
+
+# a certificate computes at most this many windows beyond its row's n range
+_WINDOW = 64
+
+
+class _Proof:
+    """Certifies the rows of one `verify` for all n, and counts the rows it
+    refuses.  The kernel calls it once per row, after the row's first
+    instance, as `proof(n, top, c, (k, a, b, x), ...)`: at every m, the row's
+    lhs - rhs is c + sum of x*v_k(a*(m - n) + b), one tuple per term that
+    mentions n, read from sequence slot k.  With a = 2^j and
+    q, p = divmod(b - a*n, a), Reznick's relation writes each term as
+    A(j, p)*v_k(m + q) + B(j, p)*v_k(m + q + 1) once m + q >= n_eff, so
+    lhs - rhs is (y, c).w(m + lo), where w(i) = (v_k(i + d))_(k, 0<=d<=J) + (1,)
+    and [lo, lo + J] holds every such shift.  It vanishes for all
+    m >= N' - lo if and only if (y, c) is orthogonal to the span U of w(i),
+    i >= N', which `_span` finds as the closure of w(N') .. w(2N' + 1) under
+    the maps w(i) -> w(2i + d) (Allouche and Shallit, "The ring of k-regular
+    sequences", 1992).  It returns the last n the row must still scan: just
+    below N' - lo for a certified row, `top` for a refused one."""
+
+    def __init__(self, identity: Identity):
+        slot = _slots(identity)
+        used = sorted({slot[t.seq] for t in identity._terms if mentions(t, "n")})
+        self.slots = {k: i for i, k in enumerate(used)}  # slot -> its block in a window
+        self.specs = [spec for _, spec in identity.bindings]
+        specs = {self.specs[k] for k in used}
+        self.n_eff = max(spec.n_eff for spec in specs)
+        self.spec = specs.pop() if len(specs) == 1 else None  # then A/B come from a table
+        self.table: CoeffTable | None = None
+        self.bases: dict[tuple[int, int], list[list[int]]] = {}
+        self.refused = 0
+
+    def level(self, e: int, table: CoeffTable | None) -> None:
+        """Read A/B at level e through `table`, the level's, if it is the
+        one spec's, or through a table of the same level."""
+        if self.spec is not None:
+            self.table = table if table and table.spec == self.spec else coeff_table(self.spec, e)
+
+    def __call__(self, n: int, top: int, const: int, *terms: tuple[int, int, int, int]) -> int:
+        table, slots, reads, shifts = self.table, self.slots, [], []
+        for k, a, b, x in terms:
+            if a == 1:  # A(0, 0) = 1, B(0, 0) = 0
+                q, u, v = b - n, x, 0
+            elif a <= 0 or a & (a - 1):
+                return self.refuse(top)
+            else:
+                q, p = divmod(b - a * n, a)
+                j = a.bit_length() - 1
+                if table and j <= table.e_max:
+                    u, v = x * table.A[j][p], x * table.B[j][p]
+                else:
+                    u, v = coeff_at(self.specs[k], j, p)
+                    u, v = x * u, x * v
+            reads.append((slots[k], q, u, v))
+            shifts.append(q)
+        lo = min(shifts)
+        width = max(shifts) - lo + 1
+        start = max(self.n_eff, n + lo)
+        # a row whose certificate would start past its grid, or cost more
+        # windows than its scan, is scanned
+        if start - lo > top + 1 or start > top - n + _WINDOW:
+            return self.refuse(top)
+        form = [0] * (len(slots) * (width + 1))
+        form.append(const)
+        for at, q, u, v in reads:
+            at = at * (width + 1) + q - lo
+            form[at] += u
+            form[at + 1] += v
+        if any(form) and any(sum(map(mul, form, row)) for row in self.basis(width, start)):
+            return self.refuse(top)
+        return start - lo - 1
+
+    def refuse(self, top: int) -> int:
+        self.refused += 1
+        return top
+
+    def basis(self, width: int, start: int) -> list[list[int]]:
+        if (width, start) not in self.bases:
+            specs = [self.specs[k] for k in self.slots]
+            runs = [[eval_direct(spec, i) for i in range(start, 2 * start + 2 + width)]
+                    for spec in specs]
+            windows = [[*(run[i + d] for run in runs for d in range(width + 1)), 1]
+                       for i in range(start + 2)]
+            self.bases[width, start] = _span(
+                windows, [partial(_digit, specs, width, d) for d in (0, 1)])
+        return self.bases[width, start]
+
+
+def _digit(specs: list[SternLikeSpec], width: int, d: int, w: list[int]) -> list[int]:
+    """The linear map that takes each window w(i), i >= n_eff, to w(2i + d):
+    entry (k, s) of w(2i + d) is v_k(2(i + h) + o), with h, o = divmod(d + s, 2),
+    which the recurrence writes through entries (k, h) and (k, h + 1) of w(i)."""
+    out = []
+    for at, spec in zip(range(0, len(w), width + 1), specs):
+        for s in range(width + 1):
+            h, odd = divmod(d + s, 2)
+            out.append(spec.b * w[at + h] + spec.c * w[at + h + 1] if odd else spec.a * w[at + h])
+    out.append(w[-1])
+    return out
+
+
+def _span(vectors: list[list[int]], maps: list[Callable]) -> list[list[int]]:
+    """A basis, in integer echelon form, of the smallest space that holds
+    `vectors` and is closed under each of `maps`; fraction-free, each new row
+    divided by the gcd of its entries."""
+    basis: dict[int, list[int]] = {}  # by the position of a row's first nonzero entry
+    todo = list(vectors)
+    while todo:
+        w = todo.pop()
+        for p in sorted(basis):
+            if w[p]:
+                row = basis[p]
+                w = [row[p] * u - w[p] * v for u, v in zip(w, row)]
+        if any(w):
+            g = gcd(*w)
+            w = [u // g for u in w]
+            basis[next(i for i, u in enumerate(w) if u)] = w
+            todo += [f(w) for f in maps]
+    return list(basis.values())
 
 
 def _at_next(node: Node, var: str) -> Node:
@@ -457,14 +398,15 @@ def _at_next(node: Node, var: str) -> Node:
     return node
 
 
-def _bind(identity: Identity, e: int, limit: int,
-          carried: dict[str, object] | None = None) -> dict[str, object]:
+def _bind(identity: Identity, e: int, limit: int, carried: dict[str, object] | None = None,
+          certify: bool = False) -> dict[str, object]:
     """The names compiled code reads at level e: `_ip`, `_stretch` and
     `_reads`; per bound sequence k, its prefix `_v<k>`, the one in `carried`
-    names if given, and lookup `_f<k>`, bounded by `limit`; and, when the
+    names if given, and lookup `_f<k>`, bounded by `limit`; when the
     identity has A(e, r)/B(e, r), readers `_cA`/`_cB` of the coefficient
     table of its one bound sequence, rows up to e, `coeff_at` (which
-    validates) beyond.  Binding errors raise here."""
+    validates) beyond; and, if `certify`, the `_Proof` in `carried` names or
+    a new one, set to level e.  Binding errors raise here."""
     bound = dict(identity.bindings)
     missing = [seq for seq in identity.seq_names if seq not in bound]
     if missing:
@@ -473,6 +415,7 @@ def _bind(identity: Identity, e: int, limit: int,
     for k, (seq, spec) in enumerate(identity.bindings):
         names[f"_v{k}"], names[f"_f{k}"] = _term_lookup(
             spec, limit, seq, carried and carried[f"_v{k}"])
+    table = None
     if identity.uses_coeffs:
         specs = set(bound.values())
         if len(specs) != 1:
@@ -481,6 +424,10 @@ def _bind(identity: Identity, e: int, limit: int,
         table = coeff_table(specs.pop(), max(e, 0))
         names["_cA"] = _coeff_reader(table, 0)
         names["_cB"] = _coeff_reader(table, 1)
+    if certify:
+        proof = carried["_proof"] if carried else _Proof(identity)
+        proof.level(e, table)
+        names["_proof"] = proof
     return names
 
 
@@ -508,15 +455,25 @@ def check_instance(identity: Identity, e: int, r: int, n: int) -> tuple[int, int
 
 
 # The kernel of an identity: `_instance(e, r, n)` evaluates both sides left to
-# right with nothing hoisted, and `_level(e, r_hi, n_lo, n_hi)` scans one
-# e-level, returning the first (r, n, lhs, rhs) with lhs != rhs in
-# lexicographic order, or None.  Its inner loop runs over n when the identity
-# mentions n, one pass per row, and over r otherwise, one pass per level (n is
-# pinned).  Each pass runs its first instance through `_instance`, then
-# computes once every subtree that does not mention the inner variable, then
-# the inner loop.  The language has no short-circuit, so each such subtree was
-# already evaluated, to the same value, by the pass's first instance: the
-# prelude never raises, nor computes an expensive value, ahead of the scan.
+# right with nothing hoisted, `_level(e, r_hi, n_lo, n_hi)` scans one e-level,
+# returning the first (r, n, lhs, rhs) with lhs != rhs in lexicographic order,
+# or None, and `_reach(e, r_hi, n_lo, n_hi)`, when every term index has degree
+# at most 1 in r and in n, is the largest index a term reads at the level's
+# four (r, n) corners, and so anywhere in the level.  `_level`'s inner loop
+# runs over n when the identity mentions n, one pass per row, and over r
+# otherwise, one pass per level (n is pinned).  Each pass runs its first
+# instance through `_instance`, then computes once every subtree that does not
+# mention the inner variable, then the inner loop up to `_top`.  The language
+# has no short-circuit, so each such subtree was already evaluated, to the
+# same value, by the pass's first instance: the prelude never raises, nor
+# computes an expensive value, ahead of the scan.
+#
+# With `_proof` bound (see `_Proof`), a row then computes its certificate from
+# those values: each term's index b + a*j at the row's j-th next instance and
+# the coefficient of each term in lhs - rhs.  A certified row holds at every n
+# from `_top + 1` on; the scan stops at `_top`.  Those instances could neither
+# fail nor raise: their n-free values were computed, and their indices grow
+# with n.  A refused row, and every row without `_proof`, scans to n_hi.
 #
 # The inner loop alternates two steps.  A stretch is the longest run of
 # instances, up to `_STRETCH`, at which every term mentioning the inner
@@ -531,8 +488,8 @@ def check_instance(identity: Identity, e: int, r: int, n: int) -> tuple[int, int
 # descend, raise or report.  A stretch holds only in-range, affine (so
 # monotone) reads and integer +, -, *, so it can do none of these, and it ends
 # just before the first instance that would: the scan meets every event where
-# and in the order the plain loop meets it.  A pass whose sides are not
-# `_sliceable` sets `_k = 0` once and takes only checked steps.
+# and in the order the plain loop meets it.  A pass whose sides have no
+# `_affine_degree` sets `_k = 0` once and takes only checked steps.
 _KERNEL = """\
 def _make({params}):
     def _instance(e, r, n):
@@ -548,7 +505,8 @@ def _make({params}):
                 return r, n, lhs, rhs
 {prelude}
             {inner} += 1
-            while {inner} <= {hi}:
+{proof}
+            while {inner} <= _top:
 {stretch}
                 if _k:
                     _j = next({mismatch}, _k)
@@ -559,7 +517,9 @@ def _make({params}):
                     return r, n, lhs, rhs
                 {inner} += 1
         return None
-    return _instance, _level
+
+{reach}
+    return _instance, _level, _reach
 """
 
 # `_level`'s loops, by whether the identity mentions n: the outer loop, and
@@ -570,13 +530,14 @@ _LOOPS = {True: ("r in range(r_hi + 1)", "n", "n_lo", "n_hi"),
 
 def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     """The source of `_make(**names)`, which returns the identity's kernel
-    `(_instance, _level)` bound to one level's `names` (see `_bind`); it is
-    the same text at every level.  Each side is emitted three times: as is
-    for `_instance`, and for the inner loop's checked step and stretch with
+    `(_instance, _level, _reach)` bound to one level's `names` (see `_bind`);
+    it is the same text at every level.  Each side is emitted three times: as
+    is for `_instance`, and for the inner loop's checked step and stretch with
     every hoisted subtree named once and assigned in the prelude.  In the
     stretch, term `_t<t>` stands for the reads of one term that mentions the
     inner variable, at index `_b<t>` with step `_a<t>`, and `_j` for the
-    offset within the stretch."""
+    offset within the stretch.  When `names` hold `_proof`, lhs - rhs is also
+    emitted linearised in those terms for the row's certificate."""
     slot = _slots(identity)
     outer, inner, lo, hi = _LOOPS[identity.uses_n]
     sizes = [f"_m{k} = len(_v{k})" for k in slot.values()]
@@ -584,7 +545,7 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     prelude: list[str] = []
 
     def hoist(node: Node, text: str) -> str:
-        if _mentions(node, inner):
+        if mentions(node, inner):
             return text
         if node not in hoisted:
             hoisted[node] = f"_h{len(hoisted)}"
@@ -600,12 +561,13 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
         sides[side] = _emit(node, slot, lambda _, text: text)
         sides[f"{side}_loop"] = _emit(node, slot, hoist)
     stretch: list[str] = []
+    proof = [f"_top = {hi}"]
     mismatch = "None"
-    if _sliceable(identity.lhs, inner) and _sliceable(identity.rhs, inner):
+    if None not in (_affine_degree(identity.lhs, inner), _affine_degree(identity.rhs, inner)):
         terms: dict[Term, int] = {}
 
         def read(node: Node, text: str) -> str:
-            if isinstance(node, Term) and _mentions(node, inner):
+            if isinstance(node, Term) and mentions(node, inner):
                 return f"_t{terms.setdefault(node, len(terms))}"
             return hoist(node, text)
 
@@ -619,17 +581,30 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
         for term, t in terms.items():
             stretch.append(f"_b{t} = {_emit(term.arg, slot, hoist)}")
             stretch.append(f"_a{t} = {_emit(_at_next(term.arg, inner), slot, hoist)} - _b{t}")
+        if "_proof" in params:
+            # every subtree free of n other than a literal or variable is hoisted by now
+            c, form = _linear(BinOp("-", identity.lhs, identity.rhs), terms,
+                              lambda node: hoisted.get(node) or _emit(node, slot, hoist))
+            reads = "".join(f", ({slot[term.seq]}, _a{t}, _b{t}, {form[t]})"
+                            for term, t in terms.items())
+            proof = [*stretch, f"_top = _proof(n, n_hi, {c}{reads})"]
         reads = "".join(f", (len(_v{slot[term.seq]}), _b{t}, _a{t})" for term, t in terms.items())
-        stretch.append(f"_k = _stretch({hi} - {inner} + 1{reads})")
+        stretch.append(f"_k = _stretch(_top - {inner} + 1{reads})")
     else:
         prelude.append("_k = 0")
+    indices = [term.arg for term in identity._terms]
+    reach = "    _reach = None"
+    if indices and all(_degree(index, var) <= 1 for index in indices for var in "rn"):
+        reads = ", ".join(_emit(index, slot, lambda _, text: text) for index in indices)
+        reach = ("    def _reach(e, r_hi, n_lo, n_hi):\n        return max("
+                 f"_i for r in (0, r_hi) for n in (n_lo, n_hi) for _i in ({reads},))\n")
     return _KERNEL.format(
         params=", ".join(params), **sides, sizes=block(sizes, 8),
-        prelude=block(prelude, 12), stretch=block(stretch, 16), mismatch=mismatch,
-        outer=outer, inner=inner, lo=lo, hi=hi)
+        prelude=block(prelude, 12), proof=block(proof, 12), stretch=block(stretch, 16),
+        mismatch=mismatch, reach=reach, outer=outer, inner=inner, lo=lo, hi=hi)
 
 
-def _load(source: str) -> Callable[..., tuple[Callable, Callable]]:
+def _load(source: str) -> Callable[..., tuple[Callable, Callable, Callable | None]]:
     """Run a kernel source; returns its `_make`, which is kept out of its own
     globals so that no reference cycle pins a level's prefixes."""
     namespace: dict[str, object] = {}
@@ -647,8 +622,21 @@ def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict
     accepted for compatibility; verification runs in one process.  The kernel
     is generated and loaded once per call, and the levels run in e order, each
     growing the prefixes the level before it grew.
+
+    When the identity is `affine_in_n`, each row that a certificate proves for
+    every n (see `_Proof`) scans only the instances below the certificate's
+    start; the rest are not evaluated.  A row the certificate refuses is
+    scanned whole.  Verdict, count, counterexample and error are the scan's;
+    `path` is "proof" and `scope` "all n ≥ n_min" when every row was certified.
     """
-    names = _bind(identity, 0, 0)  # binding errors surface here, before any level
+    return _verify(identity, e_max, n_max, jobs, certify=True)
+
+
+def _verify(identity: Identity, e_max: int, n_max: int, jobs: int, certify: bool) -> Verdict:
+    """`verify`, scanning every instance of the grid unless `certify`."""
+    certify = certify and identity.affine_in_n
+    # binding errors surface here, before any level
+    names = _bind(identity, 0, 0, certify=certify)
     if jobs < 1:
         raise RangeError(f"jobs must be >= 1, got {jobs}")
     if e_max < 0:
@@ -659,12 +647,22 @@ def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict
     n_hi = n_max if identity.uses_n else n_lo
     count = ((2 << e_max) + e_max) * (n_hi - n_lo + 1)
     make = _load(_kernel_source(identity, tuple(names)))
+    kernel = make(**names)
     for e in range(e_max + 1):
         # every catalog index stays below 8x the level's grid (5*2^e*n + r needs 5x)
-        names = _bind(identity, e, 8 * ((1 << e) + 1) * (n_hi - n_lo + 1), names)
-        hit = make(**names)[1](e, 1 << e, n_lo, n_hi)
+        limit = 8 * ((1 << e) + 1) * (n_hi - n_lo + 1)
+        if kernel[2] is not None:
+            # the level's first instance computes, left to right, every power
+            # an index holds, or raises the scan's first error, before `_reach`
+            kernel[0](e, 0, n_lo)
+            limit = min(limit, max(kernel[2](e, 1 << e, n_lo, n_hi) + 1, 0))
+        names = _bind(identity, e, limit, names, certify)
+        kernel = make(**names)
+        hit = kernel[1](e, 1 << e, n_lo, n_hi)
         if hit is not None:
             return Verdict(False, count, Counterexample(e, *hit))
+    if certify and not names["_proof"].refused:
+        return Verdict(True, count, path="proof", scope="all n ≥ n_min")
     return Verdict(True, count)
 
 
@@ -741,7 +739,7 @@ def generic_corollary(spec: SternLikeSpec, name: str | None = None) -> Identity:
     symbol = _REVERSE_ALIAS.get(spec.name or "")
     if symbol is None:
         symbol = spec.name if spec.name and spec.name.isidentifier() else "v"
-    if symbol in (*_VARIABLES, *_COEFF_NAMES):
+    if symbol in (*VARIABLES, *COEFF_NAMES):
         symbol = "v"
 
     def const(k: int) -> str:

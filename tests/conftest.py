@@ -25,6 +25,12 @@ class FakeResponse:
         return self.body
 
 
+def scan_only(identity, e_max, n_max):
+    """`verify` without certificates: every instance of the grid is scanned."""
+    from sternlike.identities import _verify
+    return _verify(identity, e_max, n_max, 1, certify=False)
+
+
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES

@@ -14,7 +14,7 @@ from sternlike import (catalog_entry, check_named, coeff_table, coeffs,
 from sternlike.cli import main
 from sternlike.recurrence import PRESET_NAMES
 
-from conftest import STERN_TERMS, TWISTED_TERMS
+from conftest import STERN_TERMS, TWISTED_TERMS, scan_only
 
 
 class _criterion:
@@ -58,6 +58,8 @@ def test_criterion_2_identity_suite():
         for name, e_max, n_max in grids:
             verdict = verify(catalog_entry(name), e_max, n_max)
             assert verdict.holds, (name, verdict.counterexample)
+            # the certificates and the instance-by-instance scan check each other
+            assert verdict == scan_only(catalog_entry(name), e_max, n_max), name
         expected = sum(2**e + 1 for e in range(11)) * 257
         assert verify(catalog_entry("prop1"), 10, 256).checked_count == expected
 
@@ -69,6 +71,7 @@ def test_criterion_2_identity_suite():
                              [rng.randint(-5, 5) for _ in range(2 * max(n0, 1))])
             verdict = verify(generic_corollary(spec), 6, 64)
             assert verdict.holds, (spec, verdict.counterexample)
+            assert verdict == scan_only(generic_corollary(spec), 6, 64), spec
 
         # closed-form coefficient identities, e <= 10
         s, t = preset("stern"), preset("twisted")

@@ -194,6 +194,15 @@ def test_verify_reports_an_early_error_without_computing_a_later_huge_power():
         2, "", "error: index of s(...) evaluated negative: -1\n")
 
 
+def test_verify_bounds_a_level_by_its_largest_index_only_after_its_first_instance():
+    # the level's largest index is 3^(3^20); its first instance meets s(-1)
+    # first, so the bound on the level's prefix is never computed
+    proc = _run_capped("verify", "--expr", "s(n - 1) == s(3^(3^20))", "--e-max", "0",
+                       "--n-max", "0")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: index of s(...) evaluated negative: -1\n")
+
+
 def test_verify_holds_one_value_of_each_side_at_a_time():
     # each product takes about 125 KB; comparing a row's sides as whole lists
     # of thousands of instances would need about 1 GB, the plain scan 1 MB
@@ -264,6 +273,12 @@ def test_series_machine_lines(capsys):
     lines = out.splitlines()
     assert lines[0] == "check=sum_s e=0 holds=true order=128"
     assert len(lines) == 4
+
+
+def test_series_choices_are_the_named_checks_in_order():
+    # the parser lists them without importing series
+    from sternlike import series
+    assert cli._SERIES_CHECKS == series.CHECK_NAMES
 
 
 def test_oracle_tm(capsys):

@@ -5,7 +5,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sternlike import (DomainError, ParseError, RangeError,
@@ -16,6 +16,8 @@ from sternlike import (DomainError, ParseError, RangeError,
 from sternlike import identities, recurrence
 from sternlike.identities import (Counterexample, bind_presets, render,
                                   VARIANT_FAMILIES)
+
+from conftest import scan_only
 
 
 def test_parse_coons():
@@ -407,19 +409,143 @@ def test_stretches_meet_their_edges_as_the_reference_scan_does(stretched, text, 
     ident = bind_presets(parse_identity(text))
     expected = _outcome(reference_verify, ident, e_max, n_max)
     assert _outcome(verify, ident, e_max, n_max) == expected
-    assert (sum(stretched) > 0) == sliced
     assert _outcome(verify, ident, e_max, n_max, jobs=2) == expected
+    # a certified row scans no stretch, so the stretches are counted on the scan alone
+    stretched.clear()
+    assert _outcome(scan_only, ident, e_max, n_max) == expected
+    assert (sum(stretched) > 0) == sliced
 
 
 def test_catalog_identities_run_most_instances_in_stretches(stretched):
     held = 0
     for ident in catalog():
         stretched.clear()
-        verdict = verify(ident, 4, 16)
+        verdict = scan_only(ident, 4, 16)
         if verdict.holds:  # the printed variants that fail stop within their first rows
             held += 1
             assert 2 * sum(stretched) > verdict.checked_count, ident.name
     assert held >= 20
+
+
+def test_levels_grow_prefixes_only_to_their_largest_corner_read(monkeypatch):
+    appended = []
+    extend = recurrence._extend
+
+    def counting_extend(spec, values, size):
+        appended.append(max(size - len(values), 0))
+        return extend(spec, values, size)
+    monkeypatch.setattr(recurrence, "_extend", counting_extend)
+    assert verify(catalog_entry("t_aux"), 16, 0).holds
+    # t(3*2^16) at r = 2^16 is the largest read: t(0) .. t(196608), from t(0), t(1)
+    assert sum(appended) == 3 * 2**16 + 1 - 2
+
+
+# acceptance criterion 2's catalog grids
+CRITERION_2_GRIDS = (
+    ("prop1", 10, 256), ("prop2", 10, 256), ("coons", 10, 256),
+    ("stern_reflect", 16, 0), ("t_aux", 16, 0), ("t_similar", 10, 128),
+    ("z2_aux", 12, 0), ("z1_thm_derived", 10, 128),
+    ("z2_thm_derived", 10, 128), ("z3_thm_derived", 10, 128),
+)
+
+
+def test_holding_catalog_identities_with_n_are_certified_for_all_n(stretched):
+    for name, e_max, n_max in CRITERION_2_GRIDS:
+        ident = catalog_entry(name)
+        verdict = verify(ident, e_max, n_max)
+        assert verdict.holds, name
+        assert (verdict.path, verdict.scope) == (
+            ("proof", "all n ≥ n_min") if ident.uses_n else ("grid", "n_min ≤ n ≤ N")), name
+    outside = [ident.name for ident in catalog() if not ident.affine_in_n]
+    assert outside == ["stern_reflect", "t_aux", "z2_aux", "z2_thm_printed"]
+    for ident in catalog():
+        stretched.clear()
+        verdict = verify(ident, 4, 16)
+        if verdict.holds:
+            assert verdict.path == ("proof" if ident.affine_in_n else "grid"), ident.name
+        if verdict.path == "proof":  # each row ran its first instance alone
+            assert stretched == [], ident.name
+
+
+_REZNICK = parse_identity("v(2^e*n + r) == A(e, r)*v(n) + B(e, r)*v(n + 1)")
+
+
+# Reznick's relation and the general corollary for drawn specs, from every
+# start n_min <= 2: below n_eff, or at n = 0 when v(0) != a*v(0), the
+# relation may fail, so the certificate must not reach below n_eff
+@settings(deadline=None, max_examples=80)
+@given(st.tuples(*[st.integers(-3, 3)] * 3), st.sampled_from((0, 1, 2)),
+       st.lists(st.integers(-5, 5), min_size=4, max_size=4), st.sampled_from((0, 1, 2, None)),
+       st.integers(0, 3), st.integers(0, 8))
+@example((2, 1, 1), 0, [1, 1, 0, 0], 0, 2, 4)  # v(0) = 1, a*v(0) = 2
+@example((2, 1, 1), 0, [1, 1, 0, 0], None, 2, 4)
+# n_eff = 2: holds at n = 0 and fails at n = 1, where no certificate reaches
+@example((-1, 0, 2), 2, [0, 0, 0, -2], 0, 1, 0)
+@example((-1, 0, 2), 2, [0, 0, 0, -2], 0, 1, 1)
+def test_certified_verify_matches_the_reference_scan_on_drawn_specs(abc, n0, init, n_min,
+                                                                     e_max, n_max):
+    spec = make_spec(*abc, n0, init[:2 * max(n0, 1)])
+    if n_min is None:
+        ident = generic_corollary(spec)
+    else:
+        ident = replace(_REZNICK, bindings=(("v", spec),), n_min=n_min)
+    n_max = max(n_max, ident.n_min)
+    expected = _outcome(reference_verify, ident, e_max, n_max)
+    verdict = _outcome(verify, ident, e_max, n_max)
+    assert verdict == expected
+    if not isinstance(verdict, tuple) and verdict.path == "proof":
+        assert scan_only(ident, e_max, n_max + 40).holds
+
+
+# rows whose difference reduces to a nonzero relation among shifts of the
+# sequence, which only the span of its windows proves: z3 is 3-periodic with
+# zero sum, and v below is 1 from v(1) on
+@pytest.mark.parametrize("text, spec", [
+    ("z3(n) + z3(n + 1) + z3(n + 2) == 0", None),
+    ("z3(2^e*n + r + 3) == z3(2^e*n + r)", None),
+    ("v(n + 1) == 1", make_spec(1, 1, 0, 1, (5, 1))),
+])
+def test_certificates_rest_on_relations_among_shifts(text, spec):
+    ident = parse_identity(text)
+    ident = bind_presets(ident) if spec is None else replace(ident, bindings=(("v", spec),))
+    verdict = verify(ident, 4, 16)
+    assert (verdict.holds, verdict.path) == (True, "proof")
+    assert verdict == reference_verify(ident, 4, 16)
+
+
+# each holds on its grid, where every row is refused, and fails just beyond it
+@pytest.mark.parametrize("text, e_max, n_max, failure", [
+    ("s(2*n) == 0*s(n)", 2, 0, (0, 0, 1)),
+    ("s(2*n + 8) == s(n + 8) + s(n + 6) - 2*s(n + 2)", 1, 6, (0, 0, 7)),
+])
+def test_a_refused_row_is_followed_by_a_counterexample(text, e_max, n_max, failure):
+    ident = bind_presets(parse_identity(text))
+    verdict = verify(ident, e_max, n_max)
+    assert (verdict.holds, verdict.path, verdict.scope) == (True, "grid", "n_min ≤ n ≤ N")
+    assert verify(ident, e_max, 64).counterexample[:3] == failure
+
+
+def test_verdicts_compare_without_path_and_scope():
+    ident = catalog_entry("prop1")
+    certified, scanned = verify(ident, 3, 8), scan_only(ident, 3, 8)
+    assert (certified.path, scanned.path) == ("proof", "grid")
+    assert certified == scanned and hash(certified) == hash(scanned)
+
+
+def test_an_identity_walks_its_tree_once(monkeypatch):
+    ident = bind_presets(parse_identity("s(2^e*n + r) == s(r)*s(n + 1) + s(2^e - r)*s(n)"))
+    walks = []
+    walk = identities.walk
+
+    def counting_walk(node):
+        walks.append(node)
+        return walk(node)
+    monkeypatch.setattr(identities, "walk", counting_walk)
+    derived = (ident.seq_names, ident.uses_coeffs, ident.uses_n, ident.affine_in_n)
+    first = len(walks)
+    assert (ident.seq_names, ident.uses_coeffs, ident.uses_n, ident.affine_in_n) == derived
+    assert verify(ident, 3, 8).holds
+    assert len(walks) == first
 
 
 def test_verify_leaves_no_cyclic_garbage():

@@ -46,7 +46,7 @@ def test_imports_leave_out_the_network_and_the_pool(code, unwanted):
 
 def test_cli_eval_loads_only_what_it_calls():
     names = ("sternlike.identities", "sternlike.tm_oracle", "sternlike.oeis",
-             "urllib.request", "sternlike.linrep")
+             "sternlike.series", "urllib.request", "sternlike.linrep")
     code = "import sternlike.cli\nsternlike.cli.main(['eval', 'stern', '5'])"
     # eval prints s(5) = 3 first; linrep, which it calls, shows the probe works
     assert _modules_loaded_after(code, names) == ["3", "sternlike.linrep"]
@@ -58,6 +58,13 @@ def test_cli_verify_with_jobs_starts_no_process():
     # the verdict line comes first; neither pool module follows it
     loaded = _modules_loaded_after(code, ("concurrent.futures.process", "multiprocessing"))
     assert loaded == "identity prop1: holds checked=171".split()
+
+
+def test_verify_certifies_in_integers_alone():
+    # the certificates' span is found fraction-free, without Fraction or Decimal
+    code = ("import sternlike\nv = sternlike.verify(sternlike.catalog_entry('coons'), 4, 16)\n"
+            "print(v.path)")
+    assert _modules_loaded_after(code, ("fractions", "decimal")) == ["proof"]
 
 
 def test_star_import_binds_every_exported_name():
