@@ -184,7 +184,11 @@ class _Parser:
     def parse_atom(self) -> Node:
         kind, value, pos = self.next()
         if kind == "int":
-            return Lit(int(value))
+            try:
+                return Lit(int(value))
+            except ValueError:  # sys.get_int_max_str_digits(), which the CLI lifts
+                raise ParseError(f"integer literal has {len(value)} digits, past the "
+                                 "interpreter's int/str conversion limit", pos) from None
         if kind == "op" and value == "(":
             inner = self.parse_expr()
             self.expect("op", ")")

@@ -17,16 +17,16 @@ lexicographically smallest counterexample.  The scan runs in one process.
 Each identity is compiled, once per `verify`, into a kernel that scans one
 e-level with the r and n loops in the generated code.  The inner loop runs
 over n, one pass per row, when the identity mentions n, and over r, one pass
-per level, otherwise.  A pass computes once each subtree that does not
-mention the inner variable: 2^e, s(r), s(2^e - r) and A(e, r) once per row
-with n, 2^e once per level without; the rest is computed per instance.
-Values are hoisted only after the pass's first instance has been evaluated
-left to right, so the first error, or the first expensive value, the kernel
-meets is the one the scan meets first.  The rest of a pass alternates
-stretches, runs of instances whose term reads all fall inside the level's
-prefixes, computed over prefix slices and compared one instance at a time up
-to the first that differs, with checked steps, single instances that read
-left to right and alone may grow a prefix, descend, raise or report.  The
+per level, otherwise.  A pass's first instance, evaluated left to right,
+names each subtree that does not mention the inner variable where it first
+computes it: 2^e, s(r), s(2^e - r) and A(e, r) once per row with n, 2^e
+once per level without.  The pass's later instances read those names, so
+the first error, or the first expensive value, the kernel meets is the one
+the scan meets first.  The later instances alternate stretches, runs of
+instances whose term reads all fall inside the level's prefixes, computed
+over prefix slices and compared one instance at a time up to the first that
+differs, with checked steps, single instances that read left to right and
+alone may grow a prefix, descend, raise or report.  The
 scan keeps one prefix per sequence and grows it level by level, each level
 no further than the largest index its terms read at its four (r, n)
 corners when their indices are affine in r and in n, and than 8x its grid
@@ -51,7 +51,7 @@ discrepancy report runs both and says which survive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from math import gcd
 from operator import mul
 from typing import Callable, NamedTuple
@@ -88,14 +88,17 @@ class Counterexample(NamedTuple):
 @dataclass(frozen=True)
 class Verdict:
     """`path` is "proof" when every row of the grid was certified for all n,
-    and "grid" otherwise; `scope` says which n the verdict covers.  Neither
-    takes part in equality."""
+    and "grid" otherwise; it takes no part in equality.  `scope`, which
+    follows from it, says which n the verdict covers."""
 
     holds: bool
     checked_count: int
     counterexample: Counterexample | None = None
     path: str = field(default="grid", compare=False)
-    scope: str = field(default="n_min ≤ n ≤ N", compare=False)
+
+    @property
+    def scope(self) -> str:
+        return "all n ≥ n_min" if self.path == "proof" else "n_min ≤ n ≤ N"
 
 
 @dataclass(frozen=True)
@@ -247,27 +250,6 @@ def _affine_degree(node: Node, var: str) -> int | None:
     return None
 
 
-def _linear(node: Node, terms: dict[Term, int],
-            constant: Callable[[Node], str]) -> tuple[str, dict[int, str]]:
-    """Source for c and for each k_t such that a side or subtree of
-    `_affine_degree` at most 1 in n equals c + sum of k_t*T_t over the terms
-    T_t that mention n, t = terms[T_t]; `constant` gives the source of a
-    subtree free of n."""
-    if not mentions(node, "n"):
-        return constant(node), {}
-    if isinstance(node, Term):
-        return "0", {terms[node]: "1"}
-    lhs, rhs = _linear(node.lhs, terms, constant), _linear(node.rhs, terms, constant)
-    if node.op == "*":  # one factor is free of n
-        (k, _), (c, form) = (lhs, rhs) if not lhs[1] else (rhs, lhs)
-        return f"({k}*{c})", {t: f"({k}*{x})" for t, x in form.items()}
-    sep = OPS[node.op][3]
-    form = dict(lhs[1])
-    for t, x in rhs[1].items():
-        form[t] = f"({form.get(t, '0')}{sep}{x})"
-    return f"({lhs[0]}{sep}{rhs[0]})", form
-
-
 # a certificate computes at most this many windows beyond its row's n range
 _WINDOW = 64
 
@@ -283,10 +265,10 @@ class _Proof:
     lhs - rhs is (y, c).w(m + lo), where w(i) = (v_k(i + d))_(k, 0<=d<=J) + (1,)
     and [lo, lo + J] holds every such shift.  It vanishes for all
     m >= N' - lo if and only if (y, c) is orthogonal to the span U of w(i),
-    i >= N', which `_span` finds as the closure of w(N') .. w(2N' + 1) under
-    the maps w(i) -> w(2i + d) (Allouche and Shallit, "The ring of k-regular
-    sequences", 1992).  It returns the last n the row must still scan: just
-    below N' - lo for a certified row, `top` for a refused one."""
+    i >= N', which `_span` finds from windows of the sequences themselves,
+    each value computed once per (J, N') by `eval_direct`.  It returns the
+    last n the row must still scan: just below N' - lo for a certified row,
+    `top` for a refused one."""
 
     def __init__(self, identity: Identity):
         slot = _slots(identity)
@@ -347,36 +329,26 @@ class _Proof:
     def basis(self, width: int, start: int) -> list[list[int]]:
         if (width, start) not in self.bases:
             specs = [self.specs[k] for k in self.slots]
-            runs = [[eval_direct(spec, i) for i in range(start, 2 * start + 2 + width)]
-                    for spec in specs]
-            windows = [[*(run[i + d] for run in runs for d in range(width + 1)), 1]
-                       for i in range(start + 2)]
-            self.bases[width, start] = _span(
-                windows, [partial(_digit, specs, width, d) for d in (0, 1)])
+            value = cache(eval_direct)
+            self.bases[width, start] = _span(start, lambda i: [
+                *(value(spec, i + d) for spec in specs for d in range(width + 1)), 1])
         return self.bases[width, start]
 
 
-def _digit(specs: list[SternLikeSpec], width: int, d: int, w: list[int]) -> list[int]:
-    """The linear map that takes each window w(i), i >= n_eff, to w(2i + d):
-    entry (k, s) of w(2i + d) is v_k(2(i + h) + o), with h, o = divmod(d + s, 2),
-    which the recurrence writes through entries (k, h) and (k, h + 1) of w(i)."""
-    out = []
-    for at, spec in zip(range(0, len(w), width + 1), specs):
-        for s in range(width + 1):
-            h, odd = divmod(d + s, 2)
-            out.append(spec.b * w[at + h] + spec.c * w[at + h + 1] if odd else spec.a * w[at + h])
-    out.append(w[-1])
-    return out
-
-
-def _span(vectors: list[list[int]], maps: list[Callable]) -> list[list[int]]:
-    """A basis, in integer echelon form, of the smallest space that holds
-    `vectors` and is closed under each of `maps`; fraction-free, each new row
-    divided by the gcd of its entries."""
+def _span(start: int, window: Callable[[int], list[int]]) -> list[list[int]]:
+    """A basis, in integer echelon form, of the span of the windows w(i),
+    i >= `start`, given `start` >= n_eff; fraction-free, each new row divided
+    by the gcd of its entries.  For i >= n_eff the recurrence makes each
+    w(2i + d), d in (0, 1), one linear map of w(i) (Allouche and Shallit,
+    "The ring of k-regular sequences", 1992), and every i > 2*start + 1 is
+    2i' + d for some start <= i' < i.  So it suffices to close the indices
+    start .. 2*start + 1 under i -> 2i, 2i + 1 from each window that raises
+    the rank: a window that does not lies in the span of those that did, and
+    so do its images, being in the span of theirs."""
     basis: dict[int, list[int]] = {}  # by the position of a row's first nonzero entry
-    todo = list(vectors)
-    while todo:
-        w = todo.pop()
+    todo = list(range(start, 2 * start + 2))
+    for i in todo:  # a queue: the loop reaches the indices appended below
+        w = window(i)
         for p in sorted(basis):
             if w[p]:
                 row = basis[p]
@@ -384,8 +356,8 @@ def _span(vectors: list[list[int]], maps: list[Callable]) -> list[list[int]]:
         if any(w):
             g = gcd(*w)
             w = [u // g for u in w]
-            basis[next(i for i, u in enumerate(w) if u)] = w
-            todo += [f(w) for f in maps]
+            basis[next(p for p, u in enumerate(w) if u)] = w
+            todo += [2 * i, 2 * i + 1]
     return list(basis.values())
 
 
@@ -455,22 +427,21 @@ def check_instance(identity: Identity, e: int, r: int, n: int) -> tuple[int, int
 
 
 # The kernel of an identity: `_instance(e, r, n)` evaluates both sides left to
-# right with nothing hoisted, `_level(e, r_hi, n_lo, n_hi)` scans one e-level,
-# returning the first (r, n, lhs, rhs) with lhs != rhs in lexicographic order,
-# or None, and `_reach(e, r_hi, n_lo, n_hi)`, when every term index has degree
-# at most 1 in r and in n, is the largest index a term reads at the level's
-# four (r, n) corners, and so anywhere in the level.  `_level`'s inner loop
-# runs over n when the identity mentions n, one pass per row, and over r
-# otherwise, one pass per level (n is pinned).  Each pass runs its first
-# instance through `_instance`, then computes once every subtree that does not
-# mention the inner variable, then the inner loop up to `_top`.  The language
-# has no short-circuit, so each such subtree was already evaluated, to the
-# same value, by the pass's first instance: the prelude never raises, nor
-# computes an expensive value, ahead of the scan.
+# right, `_level(e, r_hi, n_lo, n_hi)` scans one e-level, returning the first
+# (r, n, lhs, rhs) with lhs != rhs in lexicographic order, or None, and
+# `_reach(e, r_hi, n_lo, n_hi)`, when every term index has degree at most 1 in
+# r and in n, is the largest index a term reads at the level's four (r, n)
+# corners, and so anywhere in the level.  `_level`'s inner loop runs over n
+# when the identity mentions n, one pass per row, and over r otherwise, one
+# pass per level (n is pinned).  Each pass runs its first instance inline, in
+# the text of `_instance`, which names each subtree that does not mention the
+# inner variable, as `(_h<k> := ...)`, where it first evaluates it and reads
+# the name after; then the inner loop up to `_top` reads those names.  So the
+# kernel computes nothing, raises nothing, ahead of the scan.
 #
-# With `_proof` bound (see `_Proof`), a row then computes its certificate from
-# those values: each term's index b + a*j at the row's j-th next instance and
-# the coefficient of each term in lhs - rhs.  A certified row holds at every n
+# With `_proof` bound (see `_Proof`), a row then computes its certificate:
+# each term's index b + a*j at the row's j-th next instance and the
+# coefficient of each term in lhs - rhs.  A certified row holds at every n
 # from `_top + 1` on; the scan stops at `_top`.  Those instances could neither
 # fail nor raise: their n-free values were computed, and their indices grow
 # with n.  A refused row, and every row without `_proof`, scans to n_hi.
@@ -500,10 +471,8 @@ def _make({params}):
 {sizes}
         for {outer}:
             {inner} = {lo}
-            lhs, rhs = _instance(e, r, n)
-            if lhs != rhs:
+            if (lhs := {lhs}) != (rhs := {rhs}):
                 return r, n, lhs, rhs
-{prelude}
             {inner} += 1
 {proof}
             while {inner} <= _top:
@@ -531,35 +500,36 @@ _LOOPS = {True: ("r in range(r_hi + 1)", "n", "n_lo", "n_hi"),
 def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     """The source of `_make(**names)`, which returns the identity's kernel
     `(_instance, _level, _reach)` bound to one level's `names` (see `_bind`);
-    it is the same text at every level.  Each side is emitted three times: as
-    is for `_instance`, and for the inner loop's checked step and stretch with
-    every hoisted subtree named once and assigned in the prelude.  In the
-    stretch, term `_t<t>` stands for the reads of one term that mentions the
-    inner variable, at index `_b<t>` with step `_a<t>`, and `_j` for the
-    offset within the stretch.  When `names` hold `_proof`, lhs - rhs is also
-    emitted linearised in those terms for the row's certificate."""
+    it is the same text at every level.  Each side is emitted three times: for
+    the first instance, naming each subtree free of the inner variable where
+    it first occurs, and for the inner loop's checked step and stretch, reading
+    those names.  In the stretch, term `_t<t>` stands for the reads of one
+    term that mentions the inner variable, at index `_b<t>` with step `_a<t>`,
+    and `_j` for the offset within the stretch.  When `names` hold `_proof`,
+    the row's certificate evaluates the stretch's lhs - rhs with the `_t<t>`
+    set to 0 and 1: its sides are affine in them."""
     slot = _slots(identity)
     outer, inner, lo, hi = _LOOPS[identity.uses_n]
     sizes = [f"_m{k} = len(_v{k})" for k in slot.values()]
     hoisted: dict[Node, str] = {}
-    prelude: list[str] = []
 
-    def hoist(node: Node, text: str) -> str:
+    def first(node: Node, text: str) -> str:
         if mentions(node, inner):
             return text
-        if node not in hoisted:
-            hoisted[node] = f"_h{len(hoisted)}"
-            prelude.append(f"{hoisted[node]} = {text}")
-        return hoisted[node]
+        if node in hoisted:
+            return hoisted[node]
+        hoisted[node] = f"_h{len(hoisted)}"
+        return f"({hoisted[node]} := {text})"
+
+    def hoist(node: Node, text: str) -> str:
+        return text if mentions(node, inner) else hoisted[node]
 
     def block(lines: list[str], indent: int) -> str:
         return "\n".join(" " * indent + line for line in lines)
 
-    sides = {}
+    sides = {side: _emit(getattr(identity, side), slot, first) for side in ("lhs", "rhs")}
     for side in ("lhs", "rhs"):
-        node = getattr(identity, side)
-        sides[side] = _emit(node, slot, lambda _, text: text)
-        sides[f"{side}_loop"] = _emit(node, slot, hoist)
+        sides[f"{side}_loop"] = _emit(getattr(identity, side), slot, hoist)
     stretch: list[str] = []
     proof = [f"_top = {hi}"]
     mismatch = "None"
@@ -582,16 +552,18 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
             stretch.append(f"_b{t} = {_emit(term.arg, slot, hoist)}")
             stretch.append(f"_a{t} = {_emit(_at_next(term.arg, inner), slot, hoist)} - _b{t}")
         if "_proof" in params:
-            # every subtree free of n other than a literal or variable is hoisted by now
-            c, form = _linear(BinOp("-", identity.lhs, identity.rhs), terms,
-                              lambda node: hoisted.get(node) or _emit(node, slot, hoist))
-            reads = "".join(f", ({slot[term.seq]}, _a{t}, _b{t}, {form[t]})"
+            # lhs - rhs is _c plus each `_t<t>` times `_x<t>`
+            proof = [*stretch, " = ".join([*(f"_t{t}" for t in terms.values()), "0"]),
+                     f"_c = {lhs} - {rhs}"]
+            for t in terms.values():
+                proof += [f"_t{t} = 1", f"_x{t} = {lhs} - {rhs} - _c", f"_t{t} = 0"]
+            reads = "".join(f", ({slot[term.seq]}, _a{t}, _b{t}, _x{t})"
                             for term, t in terms.items())
-            proof = [*stretch, f"_top = _proof(n, n_hi, {c}{reads})"]
+            proof.append(f"_top = _proof(n, n_hi, _c{reads})")
         reads = "".join(f", (len(_v{slot[term.seq]}), _b{t}, _a{t})" for term, t in terms.items())
         stretch.append(f"_k = _stretch(_top - {inner} + 1{reads})")
     else:
-        prelude.append("_k = 0")
+        proof.append("_k = 0")
     indices = [term.arg for term in identity._terms]
     reach = "    _reach = None"
     if indices and all(_degree(index, var) <= 1 for index in indices for var in "rn"):
@@ -599,9 +571,9 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
         reach = ("    def _reach(e, r_hi, n_lo, n_hi):\n        return max("
                  f"_i for r in (0, r_hi) for n in (n_lo, n_hi) for _i in ({reads},))\n")
     return _KERNEL.format(
-        params=", ".join(params), **sides, sizes=block(sizes, 8),
-        prelude=block(prelude, 12), proof=block(proof, 12), stretch=block(stretch, 16),
-        mismatch=mismatch, reach=reach, outer=outer, inner=inner, lo=lo, hi=hi)
+        params=", ".join(params), **sides, sizes=block(sizes, 8), proof=block(proof, 12),
+        stretch=block(stretch, 16), mismatch=mismatch, reach=reach, outer=outer, inner=inner,
+        lo=lo, hi=hi)
 
 
 def _load(source: str) -> Callable[..., tuple[Callable, Callable, Callable | None]]:
@@ -662,7 +634,7 @@ def _verify(identity: Identity, e_max: int, n_max: int, jobs: int, certify: bool
         if hit is not None:
             return Verdict(False, count, Counterexample(e, *hit))
     if certify and not names["_proof"].refused:
-        return Verdict(True, count, path="proof", scope="all n ≥ n_min")
+        return Verdict(True, count, path="proof")
     return Verdict(True, count)
 
 

@@ -474,6 +474,20 @@ def test_verify_error_that_comes_first_decides(capsys, jobs, expr, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_literals_past_the_int_str_digit_limit_are_parsed(capsys):
+    big = "9" * 5000
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "verify", "--expr", f"s(n) + {big} == s(n)",
+                             "--e-max", "0", "--n-max", "0")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (1, "")
+    assert out == (f"identity s(n) + {big} == s(n): FAILS e=0 r=0 n=0 lhs={big} rhs=0 "
+                   "checked=2\n")
+
+
 def test_values_past_the_int_str_digit_limit_are_printed(capsys):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4321)

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from sternlike import (DomainError, ParseError, RangeError,
                        UnknownIdentityError, catalog, catalog_entry,
                        catalog_names, check_instance, discrepancy_report,
-                       generic_corollary, make_spec, parse_identity, preset,
-                       verify)
+                       eval_direct, generic_corollary, make_spec, parse_identity,
+                       preset, verify)
 from sternlike import identities, recurrence
+from sternlike.recurrence import PRESET_NAMES
 from sternlike.identities import (Counterexample, bind_presets, render,
                                   VARIANT_FAMILIES)
 
@@ -43,6 +45,19 @@ def test_parse_rejects_deep_nesting_with_position(text, position):
         parse_identity(text)
     assert err.value.position == position
     assert "nests deeper than 50 levels" in str(err.value)
+
+
+def test_a_literal_past_the_int_str_digit_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_identity("s(n) == " + "9" * 5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert err.value.position == 8
+    assert str(err.value) == ("integer literal has 5000 digits, past the interpreter's "
+                              "int/str conversion limit (at position 8)")
 
 
 def test_parse_accepts_moderate_nesting():
@@ -525,6 +540,57 @@ def test_a_refused_row_is_followed_by_a_counterexample(text, e_max, n_max, failu
     assert verify(ident, e_max, 64).counterexample[:3] == failure
 
 
+# rows whose n-terms read two sequences, so that each window holds one block
+# per sequence and A/B come from `coeff_at`: one certified at every row, one
+# refused at every row, which fails just beyond its grid
+@pytest.mark.parametrize("text, e_max, n_max, path, failure", [
+    ("s(2*n) - s(n) + t(2*n) + t(n) == 0", 4, 24, "proof", None),
+    ("s(2*n + 8) + t(n) == s(n + 8) + s(n + 6) - 2*s(n + 2) + t(n)", 1, 6, "grid", (0, 0, 7)),
+])
+def test_certificates_over_two_sequences(text, e_max, n_max, path, failure):
+    ident = bind_presets(parse_identity(text))
+    assert identities._Proof(ident).spec is None
+    verdict = verify(ident, e_max, n_max)
+    assert (verdict.holds, verdict.path) == (True, path)
+    assert verdict == reference_verify(ident, e_max, n_max)
+    if failure:
+        assert verify(ident, e_max, 64).counterexample[:3] == failure
+
+
+def _rank(rows):
+    """The rank of integer rows, by fraction-free elimination."""
+    rows, rank = [list(row) for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        at = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
+        if at is None:
+            continue
+        rows[rank], rows[at] = rows[at], rows[rank]
+        pivot = rows[rank]
+        for k in range(rank + 1, len(rows)):
+            if rows[k][col]:
+                rows[k] = [pivot[col] * u - rows[k][col] * v for u, v in zip(rows[k], pivot)]
+        rank += 1
+    return rank
+
+
+# the certificate's basis spans exactly the windows w(i) = (v(i), .., v(i + width), 1)
+# from its start on, here checked against 257 of them, for every preset and for
+# a sequence that is 1 at 1 and 0 beyond, whose first window lies outside the
+# span of the later ones
+@pytest.mark.parametrize("spec", [*map(preset, PRESET_NAMES), make_spec(0, 0, 1, 1, (0, 1))],
+                         ids=[*PRESET_NAMES, "one_at_1"])
+def test_the_window_basis_spans_the_windows_from_its_start(spec):
+    proof = identities._Proof(replace(parse_identity("v(n) == 0"), bindings=(("v", spec),)))
+    for width in range(1, 5):
+        for start in range(spec.n_eff, spec.n_eff + 4):
+            basis = proof.basis(width, start)
+            windows = [[*(eval_direct(spec, i + d) for d in range(width + 1)), 1]
+                       for i in range(start, start + 257)]
+            rank = _rank(windows)
+            assert _rank(basis) == rank, (width, start)
+            assert _rank(basis + windows) == rank, (width, start)
+
+
 def test_verdicts_compare_without_path_and_scope():
     ident = catalog_entry("prop1")
     certified, scanned = verify(ident, 3, 8), scan_only(ident, 3, 8)
@@ -654,6 +720,7 @@ def _edited_catalog_texts(draw):
 
 
 @given(st.one_of(st.text(), st.text(alphabet=_GRAMMAR_CHARS), _edited_catalog_texts()))
+@example("s(n) == " + "9" * 5000)  # past the default int/str digit limit
 def test_parse_identity_raises_only_parse_errors(text):
     try:
         parse_identity(text)
