@@ -20,26 +20,21 @@ over n, one pass per row, when the identity mentions n, and over r, one pass
 per level, otherwise.  A pass's first instance, evaluated left to right,
 names each subtree that does not mention the inner variable where it first
 computes it: 2^e, s(r), s(2^e - r) and A(e, r) once per row with n, 2^e
-once per level without.  The pass's later instances read those names, so
-the first error, or the first expensive value, the kernel meets is the one
-the scan meets first.  The later instances alternate stretches, runs of
-instances whose term reads all fall inside the level's prefixes, computed
-over prefix slices and compared one instance at a time up to the first that
-differs, with checked steps, single instances that read left to right and
-alone may grow a prefix, descend, raise or report.  The
-scan keeps one prefix per sequence and grows it level by level, each level
-no further than the largest index its terms read at its four (r, n)
-corners when their indices are affine in r and in n, and than 8x its grid
-otherwise.
+once per level without.  The pass's later instances read those names in one
+plain loop, so the first error, or the first expensive value, the kernel
+meets is the one the scan meets first.  The scan keeps one prefix per
+sequence and grows it level by level, each level no further than the
+largest index its terms read at its four (r, n) corners when their indices
+are affine in r and in n, and than 8x its grid otherwise.
 
-When both sides are affine in the terms that mention n, each row (e, r) is
-first certified for all n: Reznick's relation v(2^j*m + p) = A(j, p)*v(m) +
-B(j, p)*v(m + 1) turns the row into a linear relation among a few shifts
-v(n + i), which holds for every large n exactly when it is orthogonal to the
-span of the sequence's shift windows (see `_Proof`).  A certified row scans
-only its instances below the certificate's start, mostly just its first; a
-refused row is scanned whole.  Verdicts, counts, counterexamples and errors
-are the scan's either way.
+When both sides are affine in the terms that mention the inner variable,
+each pass is first certified: with n, each row (e, r) for all n (see
+`_Proof`), and without n, every level at once (see `_Levels`), both by
+testing a linear relation among the sequences' values against the span of
+their windows (see `_span`).  A certified pass scans only its instances
+below the certificate's start, mostly just its first; a refused one is
+scanned whole.  Verdicts, counts, counterexamples and errors are the scan's
+either way.
 
 The catalog ships every identity this library asserts about the presets.
 Statements whose published closed form is questionable appear twice, as a
@@ -88,8 +83,9 @@ class Counterexample(NamedTuple):
 @dataclass(frozen=True)
 class Verdict:
     """`path` is "proof" when every row of the grid was certified for all n,
-    and "grid" otherwise; it takes no part in equality.  `scope`, which
-    follows from it, says which n the verdict covers."""
+    "levels" when every level of an identity without n was certified, and
+    "grid" otherwise; it takes no part in equality.  `scope`, which follows
+    from it, says which instances the verdict covers."""
 
     holds: bool
     checked_count: int
@@ -98,7 +94,8 @@ class Verdict:
 
     @property
     def scope(self) -> str:
-        return "all n ≥ n_min" if self.path == "proof" else "n_min ≤ n ≤ N"
+        return {"proof": "all n ≥ n_min",
+                "levels": "all e ≥ 0, 0 ≤ r ≤ 2^e"}.get(self.path, "n_min ≤ n ≤ N")
 
 
 @dataclass(frozen=True)
@@ -195,33 +192,6 @@ def _emit(node: Node, slot: dict[str, int], name: Callable[[Node, str], str]) ->
     return name(node, text)
 
 
-# the most instances one stretch of the kernel reads as prefix slices, so that
-# the slices stay small
-_STRETCH = 4096
-
-
-def _stretch(count: int, *reads: tuple[int, int, int]) -> int:
-    """How many instances in a row, at most `count` and `_STRETCH`, read
-    only indices inside their prefixes: each read (size, b, a) is a term that
-    reads index b + a*j of a prefix of length `size` at the j-th instance."""
-    k = min(count, _STRETCH)
-    for size, b, a in reads:
-        if not 0 <= b < size:
-            return 0
-        if a:
-            k = min(k, ((size - 1 - b) // a if a > 0 else b // -a) + 1)
-    return k
-
-
-def _reads(values: list[int], b: int, a: int, k: int) -> list[int]:
-    """[values[b + a*j] for j in range(k)], every index inside the list."""
-    if a > 0:
-        return values[b:b + a * (k - 1) + 1:a]
-    if a < 0:
-        return values[b + a * (k - 1):b + 1:-a][::-1]
-    return [values[b]] * k
-
-
 def _degree(node: Node, var: str) -> int:
     """The degree in `var` of an index, 2 for any degree above 1 or a power
     whose exponent mentions `var`."""
@@ -250,6 +220,33 @@ def _affine_degree(node: Node, var: str) -> int | None:
     return None
 
 
+def _shape(node: Node) -> tuple[int, int, int, int] | None:
+    """(p, s, q, b) with the index `node` = p*2^e + s*r + q*e + b, read from
+    the tree, or None unless it is built from literals, e, r and powers
+    2^(e + k), k >= 0, by +, - and products with a constant."""
+    if isinstance(node, Lit):
+        return 0, 0, 0, node.value
+    if isinstance(node, Var):
+        return {"r": (0, 1, 0, 0), "e": (0, 0, 1, 0)}.get(node.name)
+    lhs, rhs = _shape(node.lhs), _shape(node.rhs)
+    if lhs is None or rhs is None:
+        return None
+    if node.op in "+-":
+        return tuple(u + v if node.op == "+" else u - v for u, v in zip(lhs, rhs))
+    if node.op == "*" and not (any(lhs[:3]) and any(rhs[:3])):  # one factor is constant
+        return (*(u * rhs[3] + v * lhs[3] for u, v in zip(lhs[:3], rhs[:3])), lhs[3] * rhs[3])
+    if node.op == "^" and lhs == (0, 0, 0, 2) and rhs[:3] == (0, 0, 1) and rhs[3] >= 0:
+        return 1 << rhs[3], 0, 0, 0
+    return None
+
+
+def _closed(node: Node) -> bool:
+    """Whether a side mentions no variable and no A/B outside its term indices."""
+    if isinstance(node, BinOp):
+        return _closed(node.lhs) and _closed(node.rhs)
+    return isinstance(node, (Lit, Term))
+
+
 # a certificate computes at most this many windows beyond its row's n range
 _WINDOW = 64
 
@@ -259,16 +256,21 @@ class _Proof:
     refuses.  The kernel calls it once per row, after the row's first
     instance, as `proof(n, top, c, (k, a, b, x), ...)`: at every m, the row's
     lhs - rhs is c + sum of x*v_k(a*(m - n) + b), one tuple per term that
-    mentions n, read from sequence slot k.  With a = 2^j and
-    q, p = divmod(b - a*n, a), Reznick's relation writes each term as
+    mentions n, read from sequence slot k.  A term with a = 0 reads v_k(b),
+    which the row's first instance read, at every m, so it joins c.  With
+    a = 2^j and q, p = divmod(b - a*n, a), Reznick's relation writes each term as
     A(j, p)*v_k(m + q) + B(j, p)*v_k(m + q + 1) once m + q >= n_eff, so
     lhs - rhs is (y, c).w(m + lo), where w(i) = (v_k(i + d))_(k, 0<=d<=J) + (1,)
     and [lo, lo + J] holds every such shift.  It vanishes for all
     m >= N' - lo if and only if (y, c) is orthogonal to the span U of w(i),
-    i >= N', which `_span` finds from windows of the sequences themselves,
+    i >= N', which `_span` finds from windows of the sequences themselves
+    (from N' >= n_eff on, each w(2i + d) is one linear map of w(i)),
     each value computed once per (J, N') by `eval_direct`.  It returns the
     last n the row must still scan: just below N' - lo for a certified row,
     `top` for a refused one."""
+
+    path = "proof"
+    alone = False  # every level scans its rows
 
     def __init__(self, identity: Identity):
         slot = _slots(identity)
@@ -294,7 +296,10 @@ class _Proof:
             if a == 1:  # A(0, 0) = 1, B(0, 0) = 0
                 q, u, v = b - n, x, 0
             elif a <= 0 or a & (a - 1):
-                return self.refuse(top)
+                if a:
+                    return self.refuse(top)
+                const += x * eval_direct(self.specs[k], b)
+                continue
             else:
                 q, p = divmod(b - a * n, a)
                 j = a.bit_length() - 1
@@ -305,6 +310,7 @@ class _Proof:
                     u, v = x * u, x * v
             reads.append((slots[k], q, u, v))
             shifts.append(q)
+        shifts = shifts or [0]  # every term had a = 0
         lo = min(shifts)
         width = max(shifts) - lo + 1
         start = max(self.n_eff, n + lo)
@@ -335,18 +341,80 @@ class _Proof:
         return self.bases[width, start]
 
 
+class _Levels:
+    """Certifies every level of one `verify` of an identity without n, or
+    refuses them all.  The kernel calls it as it calls `_Proof`, once per
+    level after the first instance: lhs - rhs is c + sum of x*v(I), one x
+    per distinct term, in the order of `Identity._terms`, the same at every
+    level when no variable occurs outside the term indices.  Level 0
+    decides.  When each I is p*2^e + s*r, s = 1 or -1, (e, r) ->
+    (e + 1, 2r + d) takes I to 2I + s*d, so over i = 2^e + r, 0 <= r < 2^e,
+    the windows (v(I), v(I + s)), one per term, plus (1,), are at 2i + d one
+    linear map of those at i while the stored initial values obey the
+    recurrence at every index they read; the least of those, p*2^e, or
+    (p - 1)*2^e for s = -1, is smallest at level 0.  lhs - rhs is one form
+    in the window, and at r = 2^e the form one entry further along at
+    i = 2^(e + 1) - 1.  Every level holds when both forms are orthogonal to
+    the span (`_span`) of the windows from i = 1.  It returns the last r a
+    level must still scan: 0 for a certified one, `top` otherwise."""
+
+    path = "levels"
+
+    def __init__(self, identity: Identity):
+        self.identity, self.e, self.refused = identity, 0, 0
+        self.alone = True  # whether the next level runs its first instance alone, by descent
+
+    def level(self, e: int, table: CoeffTable | None) -> None:
+        self.e = e
+
+    def __call__(self, r: int, top: int, const: int, *terms: tuple[int, int, int, int]) -> int:
+        if self.e == 0:
+            self.alone = self.certify(const, [x for *_, x in terms])
+        if self.alone:
+            return 0
+        self.refused += 1
+        return top
+
+    def certify(self, const: int, xs: list[int]) -> bool:
+        identity, specs = self.identity, dict(self.identity.bindings)
+        terms, blocks, forms = tuple(dict.fromkeys(identity._terms)), [], ([const], [const])
+        shapes = [_shape(term.arg) for term in terms]
+        # a term without r would add to c a value that changes with e
+        if len(xs) != len(terms) or not (_closed(identity.lhs) and _closed(identity.rhs)) or any(
+                shape is None or shape[1:] not in ((1, 0, 0), (-1, 0, 0)) for shape in shapes):
+            return False
+        for term, (p, s, _, _), x in zip(terms, shapes, xs):
+            spec, least = specs[term.seq], p - (s < 0)
+            v = spec.init
+            if least < 0 or any(
+                    (v[2 * k], v[2 * k + 1]) != (spec.a * v[k], spec.b * v[k] + spec.c * v[k + 1])
+                    for k in range(least, spec.n_eff)):
+                return False
+            blocks.append((spec, p, s))
+            forms[0].extend((x, 0))  # rows r < 2^e
+            forms[1].extend((0, x))  # the row r = 2^e
+        value = cache(eval_direct)
+
+        def window(i: int) -> list[int]:
+            e = i.bit_length() - 1
+            return [1, *(value(spec, (p - s << e) + s * (i + k))
+                         for spec, p, s in blocks for k in (0, 1))]
+
+        return not any(sum(map(mul, form, row)) for row in _span(1, window) for form in forms)
+
+
 def _span(start: int, window: Callable[[int], list[int]]) -> list[list[int]]:
     """A basis, in integer echelon form, of the span of the windows w(i),
-    i >= `start`, given `start` >= n_eff; fraction-free, each new row divided
-    by the gcd of its entries.  For i >= n_eff the recurrence makes each
-    w(2i + d), d in (0, 1), one linear map of w(i) (Allouche and Shallit,
-    "The ring of k-regular sequences", 1992), and every i > 2*start + 1 is
+    i >= `start` >= 1, given that the recurrence makes each w(2i + d),
+    d in (0, 1), one linear map of w(i) for every i >= `start` (Allouche and
+    Shallit, "The ring of k-regular sequences", 1992); fraction-free, each
+    new row divided by the gcd of its entries.  Every i >= 2*start is
     2i' + d for some start <= i' < i.  So it suffices to close the indices
-    start .. 2*start + 1 under i -> 2i, 2i + 1 from each window that raises
+    start .. 2*start - 1 under i -> 2i, 2i + 1 from each window that raises
     the rank: a window that does not lies in the span of those that did, and
     so do its images, being in the span of theirs."""
     basis: dict[int, list[int]] = {}  # by the position of a row's first nonzero entry
-    todo = list(range(start, 2 * start + 2))
+    todo = list(range(start, 2 * start))
     for i in todo:  # a queue: the loop reaches the indices appended below
         w = window(i)
         for p in sorted(basis):
@@ -372,18 +440,19 @@ def _at_next(node: Node, var: str) -> Node:
 
 def _bind(identity: Identity, e: int, limit: int, carried: dict[str, object] | None = None,
           certify: bool = False) -> dict[str, object]:
-    """The names compiled code reads at level e: `_ip`, `_stretch` and
-    `_reads`; per bound sequence k, its prefix `_v<k>`, the one in `carried`
-    names if given, and lookup `_f<k>`, bounded by `limit`; when the
-    identity has A(e, r)/B(e, r), readers `_cA`/`_cB` of the coefficient
-    table of its one bound sequence, rows up to e, `coeff_at` (which
-    validates) beyond; and, if `certify`, the `_Proof` in `carried` names or
-    a new one, set to level e.  Binding errors raise here."""
+    """The names compiled code reads at level e: `_ip`; per bound sequence
+    k, its prefix `_v<k>`, the one in `carried` names if given, and lookup
+    `_f<k>`, bounded by `limit`; when the identity has A(e, r)/B(e, r),
+    readers `_cA`/`_cB` of the coefficient table of its one bound sequence,
+    rows up to e, `coeff_at` (which validates) beyond; and, if `certify`,
+    the certificate `_proof` in `carried` names or a new one, a `_Proof` of
+    its rows if the identity mentions n and a `_Levels` otherwise, set to
+    level e.  Binding errors raise here."""
     bound = dict(identity.bindings)
     missing = [seq for seq in identity.seq_names if seq not in bound]
     if missing:
         raise DomainError(f"unbound sequence names: {', '.join(missing)}")
-    names: dict[str, object] = {"_ip": _int_pow, "_stretch": _stretch, "_reads": _reads}
+    names: dict[str, object] = {"_ip": _int_pow}
     for k, (seq, spec) in enumerate(identity.bindings):
         names[f"_v{k}"], names[f"_f{k}"] = _term_lookup(
             spec, limit, seq, carried and carried[f"_v{k}"])
@@ -397,7 +466,8 @@ def _bind(identity: Identity, e: int, limit: int, carried: dict[str, object] | N
         names["_cA"] = _coeff_reader(table, 0)
         names["_cB"] = _coeff_reader(table, 1)
     if certify:
-        proof = carried["_proof"] if carried else _Proof(identity)
+        proof = carried["_proof"] if carried else (
+            _Proof if identity.uses_n else _Levels)(identity)
         proof.level(e, table)
         names["_proof"] = proof
     return names
@@ -436,31 +506,15 @@ def check_instance(identity: Identity, e: int, r: int, n: int) -> tuple[int, int
 # pass per level (n is pinned).  Each pass runs its first instance inline, in
 # the text of `_instance`, which names each subtree that does not mention the
 # inner variable, as `(_h<k> := ...)`, where it first evaluates it and reads
-# the name after; then the inner loop up to `_top` reads those names.  So the
+# the name after; then one plain loop up to `_top` reads those names.  So the
 # kernel computes nothing, raises nothing, ahead of the scan.
 #
-# With `_proof` bound (see `_Proof`), a row then computes its certificate:
-# each term's index b + a*j at the row's j-th next instance and the
-# coefficient of each term in lhs - rhs.  A certified row holds at every n
-# from `_top + 1` on; the scan stops at `_top`.  Those instances could neither
-# fail nor raise: their n-free values were computed, and their indices grow
-# with n.  A refused row, and every row without `_proof`, scans to n_hi.
-#
-# The inner loop alternates two steps.  A stretch is the longest run of
-# instances, up to `_STRETCH`, at which every term mentioning the inner
-# variable reads an index b + a*j already inside its prefix (b and a come from
-# the index at the current value and the next); it reads each such term as one
-# slice of its prefix and runs one generator over the slices that computes both
-# sides of each instance in turn and yields only the offset of the first whose
-# sides differ.  So it holds one value of each side at a time, as the plain
-# loop does, and computes nothing past that instance.  When no stretch is
-# possible, or at that differing instance, one checked step runs the instance
-# as the plain loop would, reading left to right; it alone can grow a prefix,
-# descend, raise or report.  A stretch holds only in-range, affine (so
-# monotone) reads and integer +, -, *, so it can do none of these, and it ends
-# just before the first instance that would: the scan meets every event where
-# and in the order the plain loop meets it.  A pass whose sides have no
-# `_affine_degree` sets `_k = 0` once and takes only checked steps.
+# With `_proof` bound (see `_Proof` and `_Levels`), a pass then computes its
+# certificate, which proves every value of the inner variable from `_top + 1`
+# on; the scan stops at `_top`.  Those instances could neither fail nor raise:
+# their values free of the inner variable were computed, and the certificate
+# keeps their indices in range.  A refused pass, and every pass without
+# `_proof`, scans to its last value.
 _KERNEL = """\
 def _make({params}):
     def _instance(e, r, n):
@@ -475,16 +529,9 @@ def _make({params}):
                 return r, n, lhs, rhs
             {inner} += 1
 {proof}
-            while {inner} <= _top:
-{stretch}
-                if _k:
-                    _j = next({mismatch}, _k)
-                    {inner} += _j
-                    if _j == _k:
-                        continue
+            for {inner} in range({inner}, _top + 1):
                 if (lhs := {lhs_loop}) != (rhs := {rhs_loop}):
                     return r, n, lhs, rhs
-                {inner} += 1
         return None
 
 {reach}
@@ -500,14 +547,13 @@ _LOOPS = {True: ("r in range(r_hi + 1)", "n", "n_lo", "n_hi"),
 def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     """The source of `_make(**names)`, which returns the identity's kernel
     `(_instance, _level, _reach)` bound to one level's `names` (see `_bind`);
-    it is the same text at every level.  Each side is emitted three times: for
-    the first instance, naming each subtree free of the inner variable where
-    it first occurs, and for the inner loop's checked step and stretch, reading
-    those names.  In the stretch, term `_t<t>` stands for the reads of one
-    term that mentions the inner variable, at index `_b<t>` with step `_a<t>`,
-    and `_j` for the offset within the stretch.  When `names` hold `_proof`,
-    the row's certificate evaluates the stretch's lhs - rhs with the `_t<t>`
-    set to 0 and 1: its sides are affine in them."""
+    it is the same text at every level.  Each side is emitted twice: for the
+    first instance, naming each subtree free of the inner variable where it
+    first occurs, and for the inner loop, reading those names.  When `names`
+    hold `_proof`, the sides must be affine in the terms that mention the
+    inner variable: the certificate emits them once more, with each such
+    term `_t<t>` set to 0 and 1, and reads each one's index `_b<t>` at the
+    next instance and its step `_a<t>`."""
     slot = _slots(identity)
     outer, inner, lo, hi = _LOOPS[identity.uses_n]
     sizes = [f"_m{k} = len(_v{k})" for k in slot.values()]
@@ -530,40 +576,26 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     sides = {side: _emit(getattr(identity, side), slot, first) for side in ("lhs", "rhs")}
     for side in ("lhs", "rhs"):
         sides[f"{side}_loop"] = _emit(getattr(identity, side), slot, hoist)
-    stretch: list[str] = []
     proof = [f"_top = {hi}"]
-    mismatch = "None"
-    if None not in (_affine_degree(identity.lhs, inner), _affine_degree(identity.rhs, inner)):
-        terms: dict[Term, int] = {}
+    if "_proof" in params:
+        # in the order of `Identity._terms`, which `_Levels` reads
+        terms = {term: t for t, term in enumerate(dict.fromkeys(
+            term for term in identity._terms if mentions(term, inner)))}
 
         def read(node: Node, text: str) -> str:
             if isinstance(node, Term) and mentions(node, inner):
-                return f"_t{terms.setdefault(node, len(terms))}"
+                return f"_t{terms[node]}"
             return hoist(node, text)
 
         lhs, rhs = _emit(identity.lhs, slot, read), _emit(identity.rhs, slot, read)
-        names = "".join(f", _t{t}" for t in terms.values())
-        slices = "".join(f", _reads(_v{slot[term.seq]}, _b{t}, _a{t}, _k)"
-                         for term, t in terms.items())
-        # strict: a slice shorter than the stretch raises rather than skips instances
-        source = f"zip(range(_k){slices}, strict=True)" if terms else "range(_k)"
-        mismatch = f"(_j for _j{names} in {source} if {lhs} != {rhs})"
+        # lhs - rhs is _c plus each `_t<t>` times `_x<t>`
+        proof = [" = ".join([*(f"_t{t}" for t in terms.values()), "0"]), f"_c = {lhs} - {rhs}"]
         for term, t in terms.items():
-            stretch.append(f"_b{t} = {_emit(term.arg, slot, hoist)}")
-            stretch.append(f"_a{t} = {_emit(_at_next(term.arg, inner), slot, hoist)} - _b{t}")
-        if "_proof" in params:
-            # lhs - rhs is _c plus each `_t<t>` times `_x<t>`
-            proof = [*stretch, " = ".join([*(f"_t{t}" for t in terms.values()), "0"]),
-                     f"_c = {lhs} - {rhs}"]
-            for t in terms.values():
-                proof += [f"_t{t} = 1", f"_x{t} = {lhs} - {rhs} - _c", f"_t{t} = 0"]
-            reads = "".join(f", ({slot[term.seq]}, _a{t}, _b{t}, _x{t})"
-                            for term, t in terms.items())
-            proof.append(f"_top = _proof(n, n_hi, _c{reads})")
-        reads = "".join(f", (len(_v{slot[term.seq]}), _b{t}, _a{t})" for term, t in terms.items())
-        stretch.append(f"_k = _stretch(_top - {inner} + 1{reads})")
-    else:
-        proof.append("_k = 0")
+            proof += [f"_b{t} = {_emit(term.arg, slot, hoist)}",
+                      f"_a{t} = {_emit(_at_next(term.arg, inner), slot, hoist)} - _b{t}",
+                      f"_t{t} = 1", f"_x{t} = {lhs} - {rhs} - _c", f"_t{t} = 0"]
+        reads = "".join(f", ({slot[term.seq]}, _a{t}, _b{t}, _x{t})" for term, t in terms.items())
+        proof.append(f"_top = _proof({inner}, {hi}, _c{reads})")
     indices = [term.arg for term in identity._terms]
     reach = "    _reach = None"
     if indices and all(_degree(index, var) <= 1 for index in indices for var in "rn"):
@@ -572,8 +604,7 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
                  f"_i for r in (0, r_hi) for n in (n_lo, n_hi) for _i in ({reads},))\n")
     return _KERNEL.format(
         params=", ".join(params), **sides, sizes=block(sizes, 8), proof=block(proof, 12),
-        stretch=block(stretch, 16), mismatch=mismatch, reach=reach, outer=outer, inner=inner,
-        lo=lo, hi=hi)
+        reach=reach, outer=outer, inner=inner, lo=lo, hi=hi)
 
 
 def _load(source: str) -> Callable[..., tuple[Callable, Callable, Callable | None]]:
@@ -595,18 +626,20 @@ def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict
     is generated and loaded once per call, and the levels run in e order, each
     growing the prefixes the level before it grew.
 
-    When the identity is `affine_in_n`, each row that a certificate proves for
-    every n (see `_Proof`) scans only the instances below the certificate's
-    start; the rest are not evaluated.  A row the certificate refuses is
-    scanned whole.  Verdict, count, counterexample and error are the scan's;
-    `path` is "proof" and `scope` "all n ≥ n_min" when every row was certified.
+    Each row (with n) or level (without) that a certificate proves, see
+    `_Proof` and `_Levels`, runs only its instances below the certificate's
+    start; a refused one is scanned whole.  Verdict, count, counterexample
+    and error are the scan's; `path` is "proof" when every row was
+    certified, "levels" when every level was, and `scope` says what it covers.
     """
     return _verify(identity, e_max, n_max, jobs, certify=True)
 
 
 def _verify(identity: Identity, e_max: int, n_max: int, jobs: int, certify: bool) -> Verdict:
     """`verify`, scanning every instance of the grid unless `certify`."""
-    certify = certify and identity.affine_in_n
+    inner = "n" if identity.uses_n else "r"
+    certify = certify and all(_affine_degree(side, inner) in (0, 1)
+                              for side in (identity.lhs, identity.rhs))
     # binding errors surface here, before any level
     names = _bind(identity, 0, 0, certify=certify)
     if jobs < 1:
@@ -623,7 +656,9 @@ def _verify(identity: Identity, e_max: int, n_max: int, jobs: int, certify: bool
     for e in range(e_max + 1):
         # every catalog index stays below 8x the level's grid (5*2^e*n + r needs 5x)
         limit = 8 * ((1 << e) + 1) * (n_hi - n_lo + 1)
-        if kernel[2] is not None:
+        if certify and names["_proof"].alone:
+            limit = 0  # the level runs its first instance alone
+        elif kernel[2] is not None:
             # the level's first instance computes, left to right, every power
             # an index holds, or raises the scan's first error, before `_reach`
             kernel[0](e, 0, n_lo)
@@ -634,7 +669,7 @@ def _verify(identity: Identity, e_max: int, n_max: int, jobs: int, certify: bool
         if hit is not None:
             return Verdict(False, count, Counterexample(e, *hit))
     if certify and not names["_proof"].refused:
-        return Verdict(True, count, path="proof")
+        return Verdict(True, count, path=names["_proof"].path)
     return Verdict(True, count)
 
 

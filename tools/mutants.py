@@ -1,0 +1,163 @@
+"""Mutation check of the certificates in `sternlike.identities`.
+
+Each mutant is one small edit of the source, the kind of slip that would let
+a certificate claim "holds for all n" or "for all e" when it does not, or
+refuse what it should prove.  The check applies each mutant alone to a copy
+of the repository and runs only the tests listed for it; a mutant that those
+tests do not kill survives.
+
+    python3 tools/mutants.py
+
+checks first that each old text occurs exactly once in its file, then runs
+every mutant, and exits 1 on a problem or a survivor.  The full run takes
+about half a minute on a 2-vCPU VM.  `tests/test_mutants.py` runs only the
+first check, `check()`, so that a refactor which moves a mutated line must
+update the table.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    reason: str
+    tests: tuple[str, ...]
+
+
+_IDENTITIES = "src/sternlike/identities.py"
+_T = "tests/test_identities.py::"
+_LEVELS = _T + "test_levels_certificates_prove_or_refuse_identities_without_n"
+_DRAWN_LEVELS = _T + "test_level_certificates_match_the_reference_scan"
+_CATALOG = _T + "test_holding_catalog_identities_with_n_are_certified_for_all_n"
+_DRAWN_ROWS = _T + "test_certified_verify_matches_the_reference_scan_on_drawn_specs"
+_SHIFTS = _T + "test_certificates_rest_on_relations_among_shifts"
+_REFUSED = _T + "test_a_refused_row_is_followed_by_a_counterexample"
+_BASIS = _T + "test_the_window_basis_spans_the_windows_from_its_start"
+_ZERO = _T + "test_a_term_with_n_coefficient_zero_joins_the_rows_constant"
+
+MUTANTS: tuple[Mutant, ...] = (
+    # the level certificate
+    Mutant(_IDENTITIES, "if least < 0 or any(", "if least < spec.n_eff or any(",
+           "the recurrence required from n_eff: the windows may not read v(0)",
+           (_LEVELS, _CATALOG)),
+    Mutant(_IDENTITIES, "forms[1].extend((0, x))", "forms[1].extend((x, 0))",
+           "the row r = 2^e read with the form of the rows below it", (_DRAWN_LEVELS,)),
+    Mutant(_IDENTITIES, "(p - s << e) + s * (i + k)", "(p - s << e) + s * i + k",
+           "sigma ignored in the window", (_LEVELS, _CATALOG)),
+    Mutant(_IDENTITIES, "shape[1:] not in ((1, 0, 0), (-1, 0, 0))",
+           "(shape[1], shape[3]) not in ((1, 0), (-1, 0))",
+           "e outside a power of two accepted in an index", (_LEVELS,)),
+    Mutant(_IDENTITIES, "shape[1:] not in ((1, 0, 0), (-1, 0, 0))",
+           "(shape[1], shape[2]) not in ((1, 0), (-1, 0))",
+           "an index with a constant term accepted", (_LEVELS,)),
+    Mutant(_IDENTITIES, "rhs[:3] == (0, 0, 1) and rhs[3] >= 0", "rhs[2] and rhs[3] >= 0",
+           "2^(q*e + k) read as 2^(e + k)", (_LEVELS,)),
+    Mutant(_IDENTITIES, "not (_closed(identity.lhs) and _closed(identity.rhs)) or any(",
+           "any(", "e outside the term indices accepted", (_LEVELS,)),
+    Mutant(_IDENTITIES, "for k in range(least, spec.n_eff)):",
+           "for k in range(least + 1, spec.n_eff)):",
+           "windows that read one index where the recurrence fails accepted",
+           (_LEVELS, _DRAWN_LEVELS)),
+    Mutant(_IDENTITIES, "least = specs[term.seq], p - (s < 0)", "least = specs[term.seq], p",
+           "the least index of a window with s = -1 taken as p*2^e", (_LEVELS, _DRAWN_LEVELS)),
+    Mutant(_IDENTITIES, "        if certify and names[\"_proof\"].alone:\n",
+           "        if False:\n", "certified levels grow their prefixes",
+           (_T + "test_certified_levels_read_by_descent_and_grow_no_prefix",)),
+    # the row certificate
+    Mutant(_IDENTITIES, "const += x * eval_direct(self.specs[k], b)",
+           "const += 0", "a term with n coefficient 0 left out of the constant",
+           (_ZERO, _DRAWN_ROWS)),
+    Mutant(_IDENTITIES, "        form.append(const)\n        for at, q, u, v in reads:",
+           "        form.append(0)\n        for at, q, u, v in reads:",
+           "the constant dropped from the row's vector", (_SHIFTS, _CATALOG)),
+    Mutant(_IDENTITIES, "elif a <= 0 or a & (a - 1):", "elif a <= 0:",
+           "an n coefficient that is not a power of two accepted",
+           (_T + "test_rows_whose_n_coefficient_is_not_a_power_of_two_are_scanned",)),
+    Mutant(_IDENTITIES, "if start - lo > top + 1 or start > top - n + _WINDOW:",
+           "if start > top - n + _WINDOW:",
+           "a certificate that starts past its row's grid accepted", (_REFUSED, _DRAWN_ROWS)),
+    Mutant(_IDENTITIES, "return start - lo - 1", "return start - lo",
+           "the certified start one too late", (_CATALOG,)),
+    Mutant(_IDENTITIES, "return start - lo - 1", "return start - lo - 2",
+           "the certified start one too early", (_REFUSED, _DRAWN_ROWS)),
+    Mutant(_IDENTITIES, "value(spec, i + d) for spec in specs",
+           "value(spec, i + d + 1) for spec in specs",
+           "the row windows shifted by one", (_BASIS,)),
+    Mutant(_IDENTITIES, "for spec in specs for d in range(width + 1)), 1])",
+           "for spec in specs for d in range(width + 1)), 0])",
+           "the row window's constant entry at 0", (_BASIS,)),
+    # the kernel's proof block, which both certificates read
+    Mutant(_IDENTITIES, 'f"_t{t} = 1", f"_x{t} = {lhs} - {rhs} - _c", f"_t{t} = 0"]',
+           'f"_t{t} = 1", f"_x{t} = {lhs} - {rhs} - _c"]',
+           "one _t left at 1", (_CATALOG, _DRAWN_ROWS, _DRAWN_LEVELS)),
+    Mutant(_IDENTITIES, 'f"_x{t} = {lhs} - {rhs} - _c"', 'f"_x{t} = {lhs} - {rhs}"',
+           "_x without - _c", (_SHIFTS, _DRAWN_ROWS, _DRAWN_LEVELS)),
+    Mutant(_IDENTITIES, 'f"_top = _proof({inner}, {hi}, _c{reads})"',
+           'f"_top = _proof({inner}, {hi}, 0{reads})"',
+           "_c passed as 0", (_SHIFTS, _DRAWN_ROWS, _DRAWN_LEVELS)),
+    # the closure both certificates use
+    Mutant(_IDENTITIES, "todo += [2 * i, 2 * i + 1]", "todo += [2 * i]",
+           "_span queues only 2i", (_BASIS,)),
+    Mutant(_IDENTITIES, "todo += [2 * i, 2 * i + 1]", "todo += [2 * i + 1]",
+           "_span queues only 2i + 1", (_BASIS,)),
+    Mutant(_IDENTITIES, "todo = list(range(start, 2 * start))",
+           "todo = list(range(start + 1, 2 * start))", "_span seeded from start + 1", (_BASIS,)),
+)
+
+
+def check(root: Path = ROOT) -> list[str]:
+    """The rows whose old text does not occur exactly once in its file."""
+    problems = []
+    for at, mutant in enumerate(MUTANTS):
+        count = (root / mutant.file).read_text(encoding="utf-8").count(mutant.old)
+        if count != 1:
+            problems.append(f"mutant {at} ({mutant.reason}): old text occurs {count} times")
+    return problems
+
+
+def survives(mutant: Mutant, root: Path = ROOT) -> bool:
+    """Whether every test listed for `mutant` passes on a copy of `root`
+    with the mutant applied."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(root, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_work"))
+        path = copy / mutant.file
+        path.write_text(path.read_text(encoding="utf-8").replace(mutant.old, mutant.new, 1),
+                        encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        return result.returncode == 0
+
+
+def main() -> int:
+    problems = check()
+    for problem in problems:
+        print(problem)
+    if problems:
+        return 1
+    survivors = 0
+    for at, mutant in enumerate(MUTANTS):
+        alive = survives(mutant)
+        survivors += alive
+        print(f"{at:2d} {'SURVIVED' if alive else 'killed  '} {mutant.reason}", flush=True)
+    print(f"{survivors} of {len(MUTANTS)} survived")
+    return int(bool(survivors))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
