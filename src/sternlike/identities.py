@@ -15,25 +15,27 @@ evaluation error in that order decides, so a failing identity yields the
 lexicographically smallest counterexample.  The scan runs in one process.
 
 Each identity is compiled, once per `verify`, into a kernel that scans one
-e-level with the r and n loops in the generated code.  The inner loop runs
-over n, one pass per row, when the identity mentions n, and over r, one pass
-per level, otherwise.  A pass's first instance, evaluated left to right,
-names each subtree that does not mention the inner variable where it first
-computes it: 2^e, s(r), s(2^e - r) and A(e, r) once per row with n, 2^e
-once per level without.  The pass's later instances read those names in one
+e-level with the r and n loops in the generated code: one pass over n per
+row (e, r), or, when the identity has no n, one instance per row with n
+pinned.  A row's first instance, evaluated left to right, names each
+subtree that does not mention n where it first computes it: 2^e, s(r),
+s(2^e - r) and A(e, r).  The row's later instances read those names in one
 plain loop, so the first error, or the first expensive value, the kernel
 meets is the one the scan meets first.  The scan keeps one prefix per
 sequence and grows it level by level, each level no further than the
 largest index its terms read at its four (r, n) corners when their indices
 are affine in r and in n, and than 8x its grid otherwise.
 
-When both sides are affine in the terms that mention the inner variable,
-each pass is first certified: with n, each row (e, r) for all n (see
-`_Proof`), and without n, every level at once (see `_Levels`), both by
-testing a linear relation among the sequences' values against the span of
-their windows (see `_span`).  A certified pass scans only its instances
-below the certificate's start, mostly just its first; a refused one is
-scanned whole.  Verdicts, counts, counterexamples and errors are the scan's
+When both sides are affine in the terms that mention n, each row (e, r) is
+first certified for all n (see `_Proof`) by testing a linear relation among
+the sequences' values against the span of their windows (see `_span`).  A
+certified row scans only its instances below the certificate's start,
+mostly just its first; a refused one is scanned whole.  An identity without
+n is decided from its tree before any level runs (see `_levels`): when each
+side is a constant combination of terms v(p*2^e + s*r), s = 1 or -1, every
+level is certified at once with the same span and none is scanned.  A
+power or A/B outside the term indices refuses it, and every level is
+scanned.  Verdicts, counts, counterexamples and errors are the scan's
 either way.
 
 The catalog ships every identity this library asserts about the presets.
@@ -240,13 +242,6 @@ def _shape(node: Node) -> tuple[int, int, int, int] | None:
     return None
 
 
-def _closed(node: Node) -> bool:
-    """Whether a side mentions no variable and no A/B outside its term indices."""
-    if isinstance(node, BinOp):
-        return _closed(node.lhs) and _closed(node.rhs)
-    return isinstance(node, (Lit, Term))
-
-
 # a certificate computes at most this many windows beyond its row's n range
 _WINDOW = 64
 
@@ -268,9 +263,6 @@ class _Proof:
     each value computed once per (J, N') by `eval_direct`.  It returns the
     last n the row must still scan: just below N' - lo for a certified row,
     `top` for a refused one."""
-
-    path = "proof"
-    alone = False  # every level scans its rows
 
     def __init__(self, identity: Identity):
         slot = _slots(identity)
@@ -341,66 +333,67 @@ class _Proof:
         return self.bases[width, start]
 
 
-class _Levels:
-    """Certifies every level of one `verify` of an identity without n, or
-    refuses them all.  The kernel calls it as it calls `_Proof`, once per
-    level after the first instance: lhs - rhs is c + sum of x*v(I), one x
-    per distinct term, in the order of `Identity._terms`, the same at every
-    level when no variable occurs outside the term indices.  Level 0
-    decides.  When each I is p*2^e + s*r, s = 1 or -1, (e, r) ->
-    (e + 1, 2r + d) takes I to 2I + s*d, so over i = 2^e + r, 0 <= r < 2^e,
-    the windows (v(I), v(I + s)), one per term, plus (1,), are at 2i + d one
-    linear map of those at i while the stored initial values obey the
-    recurrence at every index they read; the least of those, p*2^e, or
-    (p - 1)*2^e for s = -1, is smallest at level 0.  lhs - rhs is one form
-    in the window, and at r = 2^e the form one entry further along at
-    i = 2^(e + 1) - 1.  Every level holds when both forms are orthogonal to
-    the span (`_span`) of the windows from i = 1.  It returns the last r a
-    level must still scan: 0 for a certified one, `top` otherwise."""
+def _form(node: Node) -> dict[Term | None, int] | None:
+    """A side as {term: coefficient, None: constant}, or None unless it is
+    built from literals and terms by +, - and products with a constant."""
+    if isinstance(node, Lit):
+        return {None: node.value}
+    if isinstance(node, Term):
+        return {None: 0, node: 1}
+    if not isinstance(node, BinOp):
+        return None
+    lhs, rhs = _form(node.lhs), _form(node.rhs)
+    if lhs is None or rhs is None:
+        return None
+    if node.op in "+-":
+        sign = 1 if node.op == "+" else -1
+        return {**lhs, **{k: lhs.get(k, 0) + sign * x for k, x in rhs.items()}}
+    const, form = sorted((lhs, rhs), key=len)
+    if node.op == "*" and len(const) == 1:  # one factor is constant
+        return {k: const[None] * x for k, x in form.items()}
+    return None
 
-    path = "levels"
 
-    def __init__(self, identity: Identity):
-        self.identity, self.e, self.refused = identity, 0, 0
-        self.alone = True  # whether the next level runs its first instance alone, by descent
-
-    def level(self, e: int, table: CoeffTable | None) -> None:
-        self.e = e
-
-    def __call__(self, r: int, top: int, const: int, *terms: tuple[int, int, int, int]) -> int:
-        if self.e == 0:
-            self.alone = self.certify(const, [x for *_, x in terms])
-        if self.alone:
-            return 0
-        self.refused += 1
-        return top
-
-    def certify(self, const: int, xs: list[int]) -> bool:
-        identity, specs = self.identity, dict(self.identity.bindings)
-        terms, blocks, forms = tuple(dict.fromkeys(identity._terms)), [], ([const], [const])
-        shapes = [_shape(term.arg) for term in terms]
+def _levels(identity: Identity) -> bool:
+    """Whether an identity without n holds at every level, read from its
+    tree: lhs - rhs is c + sum of x*v(I), one x per distinct term (`_form`).
+    When each I is p*2^e + s*r, s = 1 or -1, (e, r) -> (e + 1, 2r + d) takes
+    I to 2I + s*d, so over i = 2^e + r, 0 <= r < 2^e, the windows
+    (v(I), v(I + s)), one per term, plus (1,), are at 2i + d one linear map
+    of those at i while the stored initial values obey the recurrence at
+    every index they read; the least of those, p*2^e, or (p - 1)*2^e for
+    s = -1, is smallest at level 0.  lhs - rhs is one form in the window,
+    and at r = 2^e the form one entry further along at i = 2^(e + 1) - 1.
+    Every level holds when both forms are orthogonal to the span (`_span`)
+    of the windows from i = 1; no index is then negative and no instance
+    computes a power but 2^(e + k), so none could raise."""
+    form = _form(BinOp("-", identity.lhs, identity.rhs))
+    if form is None:
+        return False
+    const, specs, blocks = form.pop(None), dict(identity.bindings), []
+    forms = ([const], [const])
+    for term, x in form.items():
+        shape, spec = _shape(term.arg), specs[term.seq]
         # a term without r would add to c a value that changes with e
-        if len(xs) != len(terms) or not (_closed(identity.lhs) and _closed(identity.rhs)) or any(
-                shape is None or shape[1:] not in ((1, 0, 0), (-1, 0, 0)) for shape in shapes):
+        if shape is None or shape[1:] not in ((1, 0, 0), (-1, 0, 0)):
             return False
-        for term, (p, s, _, _), x in zip(terms, shapes, xs):
-            spec, least = specs[term.seq], p - (s < 0)
-            v = spec.init
-            if least < 0 or any(
-                    (v[2 * k], v[2 * k + 1]) != (spec.a * v[k], spec.b * v[k] + spec.c * v[k + 1])
-                    for k in range(least, spec.n_eff)):
-                return False
-            blocks.append((spec, p, s))
-            forms[0].extend((x, 0))  # rows r < 2^e
-            forms[1].extend((0, x))  # the row r = 2^e
-        value = cache(eval_direct)
+        p, s = shape[:2]
+        least, v = p - (s < 0), spec.init
+        if least < 0 or any(
+                (v[2 * k], v[2 * k + 1]) != (spec.a * v[k], spec.b * v[k] + spec.c * v[k + 1])
+                for k in range(least, spec.n_eff)):
+            return False
+        blocks.append((spec, p, s))
+        forms[0].extend((x, 0))  # the rows r < 2^e
+        forms[1].extend((0, x))  # the row r = 2^e
+    value = cache(eval_direct)
 
-        def window(i: int) -> list[int]:
-            e = i.bit_length() - 1
-            return [1, *(value(spec, (p - s << e) + s * (i + k))
-                         for spec, p, s in blocks for k in (0, 1))]
+    def window(i: int) -> list[int]:
+        e = i.bit_length() - 1
+        return [1, *(value(spec, (p - s << e) + s * (i + k))
+                     for spec, p, s in blocks for k in (0, 1))]
 
-        return not any(sum(map(mul, form, row)) for row in _span(1, window) for form in forms)
+    return not any(sum(map(mul, form, row)) for row in _span(1, window) for form in forms)
 
 
 def _span(start: int, window: Callable[[int], list[int]]) -> list[list[int]]:
@@ -429,12 +422,12 @@ def _span(start: int, window: Callable[[int], list[int]]) -> list[list[int]]:
     return list(basis.values())
 
 
-def _at_next(node: Node, var: str) -> Node:
-    """An index with `var` replaced by var + 1."""
-    if isinstance(node, Var) and node.name == var:
+def _at_next(node: Node) -> Node:
+    """An index with n replaced by n + 1."""
+    if node == Var("n"):
         return BinOp("+", node, Lit(1))
     if isinstance(node, BinOp):
-        return BinOp(node.op, _at_next(node.lhs, var), _at_next(node.rhs, var))
+        return BinOp(node.op, _at_next(node.lhs), _at_next(node.rhs))
     return node
 
 
@@ -445,9 +438,8 @@ def _bind(identity: Identity, e: int, limit: int, carried: dict[str, object] | N
     `_f<k>`, bounded by `limit`; when the identity has A(e, r)/B(e, r),
     readers `_cA`/`_cB` of the coefficient table of its one bound sequence,
     rows up to e, `coeff_at` (which validates) beyond; and, if `certify`,
-    the certificate `_proof` in `carried` names or a new one, a `_Proof` of
-    its rows if the identity mentions n and a `_Levels` otherwise, set to
-    level e.  Binding errors raise here."""
+    the row certificate `_proof` in `carried` names or a new `_Proof`, set
+    to level e.  Binding errors raise here."""
     bound = dict(identity.bindings)
     missing = [seq for seq in identity.seq_names if seq not in bound]
     if missing:
@@ -466,8 +458,7 @@ def _bind(identity: Identity, e: int, limit: int, carried: dict[str, object] | N
         names["_cA"] = _coeff_reader(table, 0)
         names["_cB"] = _coeff_reader(table, 1)
     if certify:
-        proof = carried["_proof"] if carried else (
-            _Proof if identity.uses_n else _Levels)(identity)
+        proof = carried["_proof"] if carried else _Proof(identity)
         proof.level(e, table)
         names["_proof"] = proof
     return names
@@ -501,20 +492,18 @@ def check_instance(identity: Identity, e: int, r: int, n: int) -> tuple[int, int
 # (r, n, lhs, rhs) with lhs != rhs in lexicographic order, or None, and
 # `_reach(e, r_hi, n_lo, n_hi)`, when every term index has degree at most 1 in
 # r and in n, is the largest index a term reads at the level's four (r, n)
-# corners, and so anywhere in the level.  `_level`'s inner loop runs over n
-# when the identity mentions n, one pass per row, and over r otherwise, one
-# pass per level (n is pinned).  Each pass runs its first instance inline, in
-# the text of `_instance`, which names each subtree that does not mention the
-# inner variable, as `(_h<k> := ...)`, where it first evaluates it and reads
-# the name after; then one plain loop up to `_top` reads those names.  So the
+# corners, and so anywhere in the level.  `_level` runs one pass over n per
+# row (e, r); without n, n_lo = n_hi.  Each row runs its first instance
+# inline, in the text of `_instance`, which names each subtree that does not
+# mention n, as `(_h<k> := ...)`, where it first evaluates it and reads the
+# name after; then one plain loop up to `_top` reads those names.  So the
 # kernel computes nothing, raises nothing, ahead of the scan.
 #
-# With `_proof` bound (see `_Proof` and `_Levels`), a pass then computes its
-# certificate, which proves every value of the inner variable from `_top + 1`
-# on; the scan stops at `_top`.  Those instances could neither fail nor raise:
-# their values free of the inner variable were computed, and the certificate
-# keeps their indices in range.  A refused pass, and every pass without
-# `_proof`, scans to its last value.
+# With `_proof` bound (see `_Proof`), a row then computes its certificate,
+# which proves every n from `_top + 1` on; the scan stops at `_top`.  Those
+# instances could neither fail nor raise: their values free of n were
+# computed, and the certificate keeps their indices in range.  A refused row,
+# and every row without `_proof`, scans to n_hi.
 _KERNEL = """\
 def _make({params}):
     def _instance(e, r, n):
@@ -523,13 +512,13 @@ def _make({params}):
 
     def _level(e, r_hi, n_lo, n_hi):
 {sizes}
-        for {outer}:
-            {inner} = {lo}
+        for r in range(r_hi + 1):
+            n = n_lo
             if (lhs := {lhs}) != (rhs := {rhs}):
                 return r, n, lhs, rhs
-            {inner} += 1
+            n += 1
 {proof}
-            for {inner} in range({inner}, _top + 1):
+            for n in range(n, _top + 1):
                 if (lhs := {lhs_loop}) != (rhs := {rhs_loop}):
                     return r, n, lhs, rhs
         return None
@@ -538,29 +527,23 @@ def _make({params}):
     return _instance, _level, _reach
 """
 
-# `_level`'s loops, by whether the identity mentions n: the outer loop, and
-# the inner variable with its first and last value
-_LOOPS = {True: ("r in range(r_hi + 1)", "n", "n_lo", "n_hi"),
-          False: ("n in range(n_lo, n_hi + 1)", "r", "0", "r_hi")}
-
 
 def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     """The source of `_make(**names)`, which returns the identity's kernel
     `(_instance, _level, _reach)` bound to one level's `names` (see `_bind`);
-    it is the same text at every level.  Each side is emitted twice: for the
-    first instance, naming each subtree free of the inner variable where it
-    first occurs, and for the inner loop, reading those names.  When `names`
-    hold `_proof`, the sides must be affine in the terms that mention the
-    inner variable: the certificate emits them once more, with each such
-    term `_t<t>` set to 0 and 1, and reads each one's index `_b<t>` at the
-    next instance and its step `_a<t>`."""
+    it is the same text at every level.  Each side is emitted twice: for a
+    row's first instance, naming each subtree free of n where it first
+    occurs, and for the row's loop over n, reading those names.  When `names`
+    hold `_proof`, the sides must be affine in the terms that mention n: the
+    certificate emits them once more, with each such term `_t<t>` set to 0
+    and 1, and reads each one's index `_b<t>` at the next n and its step
+    `_a<t>`."""
     slot = _slots(identity)
-    outer, inner, lo, hi = _LOOPS[identity.uses_n]
     sizes = [f"_m{k} = len(_v{k})" for k in slot.values()]
     hoisted: dict[Node, str] = {}
 
     def first(node: Node, text: str) -> str:
-        if mentions(node, inner):
+        if mentions(node, "n"):
             return text
         if node in hoisted:
             return hoisted[node]
@@ -568,7 +551,7 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
         return f"({hoisted[node]} := {text})"
 
     def hoist(node: Node, text: str) -> str:
-        return text if mentions(node, inner) else hoisted[node]
+        return text if mentions(node, "n") else hoisted[node]
 
     def block(lines: list[str], indent: int) -> str:
         return "\n".join(" " * indent + line for line in lines)
@@ -576,14 +559,13 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     sides = {side: _emit(getattr(identity, side), slot, first) for side in ("lhs", "rhs")}
     for side in ("lhs", "rhs"):
         sides[f"{side}_loop"] = _emit(getattr(identity, side), slot, hoist)
-    proof = [f"_top = {hi}"]
+    proof = ["_top = n_hi"]
     if "_proof" in params:
-        # in the order of `Identity._terms`, which `_Levels` reads
         terms = {term: t for t, term in enumerate(dict.fromkeys(
-            term for term in identity._terms if mentions(term, inner)))}
+            term for term in identity._terms if mentions(term, "n")))}
 
         def read(node: Node, text: str) -> str:
-            if isinstance(node, Term) and mentions(node, inner):
+            if isinstance(node, Term) and mentions(node, "n"):
                 return f"_t{terms[node]}"
             return hoist(node, text)
 
@@ -592,10 +574,10 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
         proof = [" = ".join([*(f"_t{t}" for t in terms.values()), "0"]), f"_c = {lhs} - {rhs}"]
         for term, t in terms.items():
             proof += [f"_b{t} = {_emit(term.arg, slot, hoist)}",
-                      f"_a{t} = {_emit(_at_next(term.arg, inner), slot, hoist)} - _b{t}",
+                      f"_a{t} = {_emit(_at_next(term.arg), slot, hoist)} - _b{t}",
                       f"_t{t} = 1", f"_x{t} = {lhs} - {rhs} - _c", f"_t{t} = 0"]
         reads = "".join(f", ({slot[term.seq]}, _a{t}, _b{t}, _x{t})" for term, t in terms.items())
-        proof.append(f"_top = _proof({inner}, {hi}, _c{reads})")
+        proof.append(f"_top = _proof(n, n_hi, _c{reads})")
     indices = [term.arg for term in identity._terms]
     reach = "    _reach = None"
     if indices and all(_degree(index, var) <= 1 for index in indices for var in "rn"):
@@ -604,7 +586,7 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
                  f"_i for r in (0, r_hi) for n in (n_lo, n_hi) for _i in ({reads},))\n")
     return _KERNEL.format(
         params=", ".join(params), **sides, sizes=block(sizes, 8), proof=block(proof, 12),
-        reach=reach, outer=outer, inner=inner, lo=lo, hi=hi)
+        reach=reach)
 
 
 def _load(source: str) -> Callable[..., tuple[Callable, Callable, Callable | None]]:
@@ -626,22 +608,21 @@ def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict
     is generated and loaded once per call, and the levels run in e order, each
     growing the prefixes the level before it grew.
 
-    Each row (with n) or level (without) that a certificate proves, see
-    `_Proof` and `_Levels`, runs only its instances below the certificate's
-    start; a refused one is scanned whole.  Verdict, count, counterexample
-    and error are the scan's; `path` is "proof" when every row was
-    certified, "levels" when every level was, and `scope` says what it covers.
+    Each row that the certificate proves for all n, see `_Proof`, runs only
+    its instances below the certificate's start; a refused one is scanned
+    whole.  An identity without n that `_levels` proves at every level runs
+    no level.  Verdict, count, counterexample and error are the scan's;
+    `path` is "proof" when every row was certified, "levels" when every
+    level was, and `scope` says what it covers.
     """
     return _verify(identity, e_max, n_max, jobs, certify=True)
 
 
 def _verify(identity: Identity, e_max: int, n_max: int, jobs: int, certify: bool) -> Verdict:
     """`verify`, scanning every instance of the grid unless `certify`."""
-    inner = "n" if identity.uses_n else "r"
-    certify = certify and all(_affine_degree(side, inner) in (0, 1)
-                              for side in (identity.lhs, identity.rhs))
+    rows = certify and identity.affine_in_n
     # binding errors surface here, before any level
-    names = _bind(identity, 0, 0, certify=certify)
+    names = _bind(identity, 0, 0, certify=rows)
     if jobs < 1:
         raise RangeError(f"jobs must be >= 1, got {jobs}")
     if e_max < 0:
@@ -651,25 +632,25 @@ def _verify(identity: Identity, e_max: int, n_max: int, jobs: int, certify: bool
     n_lo = identity.n_min
     n_hi = n_max if identity.uses_n else n_lo
     count = ((2 << e_max) + e_max) * (n_hi - n_lo + 1)
+    if certify and not identity.uses_n and _levels(identity):
+        return Verdict(True, count, path="levels")
     make = _load(_kernel_source(identity, tuple(names)))
     kernel = make(**names)
     for e in range(e_max + 1):
         # every catalog index stays below 8x the level's grid (5*2^e*n + r needs 5x)
         limit = 8 * ((1 << e) + 1) * (n_hi - n_lo + 1)
-        if certify and names["_proof"].alone:
-            limit = 0  # the level runs its first instance alone
-        elif kernel[2] is not None:
+        if kernel[2] is not None:
             # the level's first instance computes, left to right, every power
             # an index holds, or raises the scan's first error, before `_reach`
             kernel[0](e, 0, n_lo)
             limit = min(limit, max(kernel[2](e, 1 << e, n_lo, n_hi) + 1, 0))
-        names = _bind(identity, e, limit, names, certify)
+        names = _bind(identity, e, limit, names, rows)
         kernel = make(**names)
         hit = kernel[1](e, 1 << e, n_lo, n_hi)
         if hit is not None:
             return Verdict(False, count, Counterexample(e, *hit))
-    if certify and not names["_proof"].refused:
-        return Verdict(True, count, path=names["_proof"].path)
+    if rows and not names["_proof"].refused:
+        return Verdict(True, count, path="proof")
     return Verdict(True, count)
 
 

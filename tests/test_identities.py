@@ -385,7 +385,7 @@ def test_a_serial_scan_grows_one_prefix_across_its_levels(monkeypatch):
 # run past the prefix end or beyond the limit into descent, a term-free side,
 # indices and exponents that turn negative mid-pass, counterexamples inside a
 # pass, and passes whose coefficient reference, power or non-affine index
-# mentions the inner variable
+# mentions n
 @pytest.mark.parametrize("text, e_max, n_max", [
     ("s(2^e + r) - s(r) == s(2^e - r)", 6, 0),
     ("t(2^e - r + 4)*t(2^e - r + 4)*t(2^e - r + 4) == t(2^e - r + 4)", 5, 0),
@@ -567,10 +567,14 @@ def test_rows_whose_n_coefficient_is_not_a_power_of_two_are_scanned(text):
 # identities without n: the catalog's three and two more that hold, all
 # certified at every level; two that fail after their first instance, one
 # that holds on every row r < 2^e but not at r = 2^e (with constant terms in
-# its indices), one with e outside a power in an index and one with e
-# outside the term indices, which must all be refused; three that hold but
-# whose indices are not p*2^e + s*r as written; and one whose scan raises at
-# its first level
+# its indices), one with e outside a power in an index, one with e outside
+# the term indices and two with B(e, r) or a product of two terms, which
+# must all be refused; four that hold but whose indices are not p*2^e + s*r
+# as written or whose side multiplies two terms; and one whose scan raises
+# at its first level.  A literal power outside the term indices refuses the
+# certificate and is left to the scan: the first below holds, the second
+# raises the scan's error, and the third, which a reading of `^` as `-`
+# would certify, fails at its first instance
 @pytest.mark.parametrize("text, path", [
     ("s(2^e + r) - s(r) == s(2^e - r)", "levels"),
     ("t(2^(e + 1) + r) + t(2^e + r) == t(3*2^e - r)", "levels"),
@@ -582,10 +586,16 @@ def test_rows_whose_n_coefficient_is_not_a_power_of_two_are_scanned(text):
     ("s(2^(e + 1) - r - 1) == s(2^e + r + 1)", "grid"),
     ("s(e + 2^e + r) - s(r) == s(2^e - r)", "grid"),
     ("s(2^e + r) == s(r) + 0^e*s(2^e - r)", "grid"),
+    ("s(2^e + r) - s(r) + B(e, r) == s(2^e - r)", "grid"),
+    ("s(2^e + r) - s(r) + s(r)*s(r) == s(2^e - r)", "grid"),
+    ("s(2^e + r) - s(r) + s(r)*s(r) == s(2^e - r) + s(r)*s(r)", "grid"),
     ("s(4^e + r) - s(r) == s(4^e - r)", "grid"),
     ("s(2^(2*e) + r) - s(r) == s(2^(2*e) - r)", "grid"),
     ("s(2^(e + 1) + r + 1) == s(r + 1) + s(2^(e + 1) - r - 1)", "grid"),
-    ("s(2^e + r + 1) - s(r + 1) == s(2^e - r - 1)", None),
+    ("s(2^e + r + 1) - s(r + 1) == s(2^e - r - 1)", "index of s(...) evaluated negative: -1"),
+    ("s(2^e + r) - s(r) == (0 - 1)^2*s(2^e - r)", "grid"),
+    ("s(2^e + r) - s(r) == 2^(0 - 1)*s(2^e - r)", "exponent evaluated negative: -1"),
+    ("s(2^e + r) - s(r) == 3^2*s(2^e - r)", "grid"),
 ])
 def test_levels_certificates_prove_or_refuse_identities_without_n(text, path):
     ident = bind_presets(parse_identity(text))
@@ -593,8 +603,8 @@ def test_levels_certificates_prove_or_refuse_identities_without_n(text, path):
         expected = _outcome(reference_verify, ident, e_max, 0)
         verdict = _outcome(verify, ident, e_max, 0)
         assert verdict == expected, e_max
-        if path is None:
-            assert verdict == (DomainError, "index of s(...) evaluated negative: -1")
+        if path not in ("levels", "grid"):
+            assert verdict == (DomainError, path)
         elif verdict.holds:
             assert (verdict.path, verdict.scope) == (
                 (path, "all e ≥ 0, 0 ≤ r ≤ 2^e") if path == "levels"
@@ -603,21 +613,30 @@ def test_levels_certificates_prove_or_refuse_identities_without_n(text, path):
         assert scan_only(ident, 9, 0).holds
 
 
-def test_certified_levels_read_by_descent_and_grow_no_prefix(monkeypatch):
+def test_certified_levels_load_no_kernel_and_grow_no_prefix(monkeypatch):
     appended = []
     extend = recurrence._extend
 
     def counting_extend(spec, values, size):
         appended.append(max(size - len(values), 0))
         return extend(spec, values, size)
+
+    def no_load(source):
+        raise AssertionError("a kernel was loaded")
     monkeypatch.setattr(recurrence, "_extend", counting_extend)
-    ident = catalog_entry("t_aux")
-    identities._bind(ident, 0, 0)
-    bound = sum(appended)  # a binding's prefix, t(0) .. t(2) from t(0), t(1)
-    appended.clear()
-    assert verify(ident, 16, 0).path == "levels"
-    # only the binding of `verify` built its prefix; no level appended to it
-    assert sum(appended) == bound
+    for name, e_max, n_max in CRITERION_2_GRIDS:
+        ident = catalog_entry(name)
+        if ident.uses_n:
+            continue
+        identities._bind(ident, 0, 0)
+        bound = sum(appended)  # a binding's prefix, e.g. t(0) .. t(2) from t(0), t(1)
+        appended.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "_load", no_load)
+            assert verify(ident, e_max, n_max).path == "levels", name
+        # only the binding of `verify` built its prefix; nothing appended to it
+        assert sum(appended) == bound, name
+        appended.clear()
 
 
 def _relation(rows, width):
