@@ -22,9 +22,9 @@ subtree that does not mention n where it first computes it: 2^e, s(r),
 s(2^e - r) and A(e, r).  The row's later instances read those names in one
 plain loop, so the first error, or the first expensive value, the kernel
 meets is the one the scan meets first.  The scan keeps one prefix per
-sequence and grows it level by level, each level no further than the
-largest index its terms read at its four (r, n) corners when their indices
-are affine in r and in n, and than 8x its grid otherwise.
+sequence and grows it level by level, each level at most one round of
+`recurrence._term_lookup` past the largest index it reads, and never past
+8x its grid.
 
 When both sides are affine in the terms that mention n, each row (e, r) is
 first certified for all n (see `_Proof`) by testing a linear relation among
@@ -194,27 +194,16 @@ def _emit(node: Node, slot: dict[str, int], name: Callable[[Node, str], str]) ->
     return name(node, text)
 
 
-def _degree(node: Node, var: str) -> int:
-    """The degree in `var` of an index, 2 for any degree above 1 or a power
-    whose exponent mentions `var`."""
-    if isinstance(node, Lit):
-        return 0
-    if isinstance(node, Var):
-        return int(node.name == var)
-    lhs, rhs = _degree(node.lhs, var), _degree(node.rhs, var)
-    if node.op == "^":
-        return 2 if rhs else 0
-    return min(lhs + rhs if node.op == "*" else max(lhs, rhs), 2)
-
-
 def _affine_degree(node: Node, var: str) -> int | None:
-    """The degree of a side in its terms that mention `var`, or None unless
-    every subtree that mentions `var` is +, -, * or a term whose index has
-    degree at most 1 in `var` (so exactly 1)."""
+    """The degree of a side in its terms that mention `var`, or of an index
+    in `var`; None unless every subtree that mentions `var` is `var`, +, -,
+    * or a term whose index has degree 1 in `var`."""
     if not mentions(node, var):
         return 0
+    if isinstance(node, Var):
+        return 1
     if isinstance(node, Term):
-        return 1 if _degree(node.arg, var) <= 1 else None
+        return 1 if _affine_degree(node.arg, var) == 1 else None
     if isinstance(node, BinOp) and node.op != "^":
         lhs, rhs = _affine_degree(node.lhs, var), _affine_degree(node.rhs, var)
         if lhs is not None and rhs is not None:
@@ -488,16 +477,15 @@ def check_instance(identity: Identity, e: int, r: int, n: int) -> tuple[int, int
 
 
 # The kernel of an identity: `_instance(e, r, n)` evaluates both sides left to
-# right, `_level(e, r_hi, n_lo, n_hi)` scans one e-level, returning the first
-# (r, n, lhs, rhs) with lhs != rhs in lexicographic order, or None, and
-# `_reach(e, r_hi, n_lo, n_hi)`, when every term index has degree at most 1 in
-# r and in n, is the largest index a term reads at the level's four (r, n)
-# corners, and so anywhere in the level.  `_level` runs one pass over n per
-# row (e, r); without n, n_lo = n_hi.  Each row runs its first instance
-# inline, in the text of `_instance`, which names each subtree that does not
-# mention n, as `(_h<k> := ...)`, where it first evaluates it and reads the
-# name after; then one plain loop up to `_top` reads those names.  So the
-# kernel computes nothing, raises nothing, ahead of the scan.
+# right, and `_level(e, r_hi, n_lo, n_hi)` scans one e-level, returning the
+# first (r, n, lhs, rhs) with lhs != rhs in lexicographic order, or None.  Each
+# term grows its prefix as `recurrence._term_lookup` does: at most one round
+# past the index read, and never past the level's limit.  `_level` runs one
+# pass over n per row (e, r); without n, n_lo = n_hi.  Each row runs its first
+# instance inline, in the text of `_instance`, which names each subtree that
+# does not mention n, as `(_h<k> := ...)`, where it first evaluates it and
+# reads the name after; then one plain loop up to `_top` reads those names.
+# So the kernel computes nothing, raises nothing, ahead of the scan.
 #
 # With `_proof` bound (see `_Proof`), a row then computes its certificate,
 # which proves every n from `_top + 1` on; the scan stops at `_top`.  Those
@@ -523,14 +511,13 @@ def _make({params}):
                     return r, n, lhs, rhs
         return None
 
-{reach}
-    return _instance, _level, _reach
+    return _instance, _level
 """
 
 
 def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     """The source of `_make(**names)`, which returns the identity's kernel
-    `(_instance, _level, _reach)` bound to one level's `names` (see `_bind`);
+    `(_instance, _level)` bound to one level's `names` (see `_bind`);
     it is the same text at every level.  Each side is emitted twice: for a
     row's first instance, naming each subtree free of n where it first
     occurs, and for the row's loop over n, reading those names.  When `names`
@@ -578,18 +565,11 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
                       f"_t{t} = 1", f"_x{t} = {lhs} - {rhs} - _c", f"_t{t} = 0"]
         reads = "".join(f", ({slot[term.seq]}, _a{t}, _b{t}, _x{t})" for term, t in terms.items())
         proof.append(f"_top = _proof(n, n_hi, _c{reads})")
-    indices = [term.arg for term in identity._terms]
-    reach = "    _reach = None"
-    if indices and all(_degree(index, var) <= 1 for index in indices for var in "rn"):
-        reads = ", ".join(_emit(index, slot, lambda _, text: text) for index in indices)
-        reach = ("    def _reach(e, r_hi, n_lo, n_hi):\n        return max("
-                 f"_i for r in (0, r_hi) for n in (n_lo, n_hi) for _i in ({reads},))\n")
     return _KERNEL.format(
-        params=", ".join(params), **sides, sizes=block(sizes, 8), proof=block(proof, 12),
-        reach=reach)
+        params=", ".join(params), **sides, sizes=block(sizes, 8), proof=block(proof, 12))
 
 
-def _load(source: str) -> Callable[..., tuple[Callable, Callable, Callable | None]]:
+def _load(source: str) -> Callable[..., tuple[Callable, Callable]]:
     """Run a kernel source; returns its `_make`, which is kept out of its own
     globals so that no reference cycle pins a level's prefixes."""
     namespace: dict[str, object] = {}
@@ -635,18 +615,10 @@ def _verify(identity: Identity, e_max: int, n_max: int, jobs: int, certify: bool
     if certify and not identity.uses_n and _levels(identity):
         return Verdict(True, count, path="levels")
     make = _load(_kernel_source(identity, tuple(names)))
-    kernel = make(**names)
     for e in range(e_max + 1):
         # every catalog index stays below 8x the level's grid (5*2^e*n + r needs 5x)
-        limit = 8 * ((1 << e) + 1) * (n_hi - n_lo + 1)
-        if kernel[2] is not None:
-            # the level's first instance computes, left to right, every power
-            # an index holds, or raises the scan's first error, before `_reach`
-            kernel[0](e, 0, n_lo)
-            limit = min(limit, max(kernel[2](e, 1 << e, n_lo, n_hi) + 1, 0))
-        names = _bind(identity, e, limit, names, rows)
-        kernel = make(**names)
-        hit = kernel[1](e, 1 << e, n_lo, n_hi)
+        names = _bind(identity, e, 8 * ((1 << e) + 1) * (n_hi - n_lo + 1), names, rows)
+        hit = make(**names)[1](e, 1 << e, n_lo, n_hi)
         if hit is not None:
             return Verdict(False, count, Counterexample(e, *hit))
     if rows and not names["_proof"].refused:

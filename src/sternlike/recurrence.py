@@ -139,7 +139,8 @@ def prefix(spec: SternLikeSpec, hi: int) -> list[int]:
     return _extend(spec, list(spec.init[:max(hi + 1, 0)]), hi + 1)
 
 
-# the most terms one round of `_extend` appends, so that its temporary lists stay small
+# the most terms one round of `_extend` appends, so that its temporary lists
+# stay small, and how far past an index read `_term_lookup` may grow a prefix
 _ROUND = 4096
 
 
@@ -201,7 +202,11 @@ def _term_lookup(spec: SternLikeSpec, limit: int, label: str = "v",
     """(values, v) for one job: v reads indices below `limit` from the prefix
     `values` (fresh, or one an earlier job grew), grown in place on demand,
     and descends onto it for larger ones; a negative index raises
-    DomainError.  A caller may read `values[n]` directly below its length."""
+    DomainError.  A read past the prefix doubles it while it is short, but
+    never grows it `_ROUND` or more entries past the index read, nor beyond
+    `limit` entries, so a prefix it grows ends fewer than `_ROUND` entries
+    past the largest index read below `limit`.  A caller may read `values[n]`
+    directly below its length."""
     values = prefix(spec, 2 * spec.n_eff) if values is None else values
 
     def value(n: int) -> int:
@@ -210,7 +215,7 @@ def _term_lookup(spec: SternLikeSpec, limit: int, label: str = "v",
         if n < 0:
             raise DomainError(f"index of {label}(...) evaluated negative: {n}")
         if n < limit:
-            return _extend(spec, values, min(max(n + 1, 2 * len(values)), limit))[n]
+            return _extend(spec, values, min(max(n + 1, 2 * len(values)), n + _ROUND, limit))[n]
         return _term(spec, n, values)
 
     return values, value

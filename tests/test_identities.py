@@ -17,7 +17,7 @@ from sternlike import (DomainError, ParseError, RangeError,
                        eval_direct, generic_corollary, make_spec, parse_identity,
                        preset, verify)
 from sternlike import identities, recurrence
-from sternlike.recurrence import PRESET_NAMES
+from sternlike.recurrence import _ROUND, PRESET_NAMES
 from sternlike.identities import (Counterexample, bind_presets, render,
                                   VARIANT_FAMILIES)
 
@@ -415,17 +415,17 @@ def test_stretches_meet_their_edges_as_the_reference_scan_does(text, e_max, n_ma
     assert _outcome(scan_only, ident, e_max, n_max) == expected
 
 
-def test_levels_grow_prefixes_only_to_their_largest_corner_read(monkeypatch):
-    appended = []
+def test_a_whole_scan_ends_its_prefix_less_than_a_round_past_its_largest_read(monkeypatch):
+    lengths = []
     extend = recurrence._extend
 
-    def counting_extend(spec, values, size):
-        appended.append(max(size - len(values), 0))
-        return extend(spec, values, size)
-    monkeypatch.setattr(recurrence, "_extend", counting_extend)
+    def recording_extend(spec, values, size):
+        lengths.append(len(extend(spec, values, size)))
+        return values
+    monkeypatch.setattr(recurrence, "_extend", recording_extend)
     assert scan_only(catalog_entry("t_aux"), 16, 0).holds
-    # t(3*2^16) at r = 2^16 is the largest read: t(0) .. t(196608), from t(0), t(1)
-    assert sum(appended) == 3 * 2**16 + 1 - 2
+    # t(3*2^16) at r = 2^16 is the largest read
+    assert 3 * 2**16 < max(lengths) <= 3 * 2**16 + _ROUND
 
 
 # acceptance criterion 2's catalog grids
@@ -552,6 +552,27 @@ def test_a_term_with_n_coefficient_zero_joins_the_rows_constant(text, path):
     verdict = verify(ident, 4, 16)
     assert (verdict.holds, verdict.path) == (True, path)
     assert verdict == reference_verify(ident, 4, 16)
+
+
+# one identity on each side of `affine_in_n` for every index or side shape
+# that decides it: an index of degree 1 in n, or of a higher degree, a power
+# of n, a coefficient reference with n, or a product of two terms with n
+@pytest.mark.parametrize("text, affine, path", [
+    ("s(n*n) == s(2*n*n)", False, "grid"),
+    ("s(2^(n + 1)) == s(2^n)", False, "grid"),
+    ("s(r*n + 2^e*n) == s((r + 2^e)*n)", True, "grid"),
+    ("s((n + 1)*2^e + r) == s(r)*s(n + 2) + s(2^e - r)*s(n + 1)", True, "proof"),
+    ("s(2*(3*n + 1)) == s(3*n + 1)", True, "grid"),
+    ("A(n, r)*s(n) == A(n, r)*s(2*n)", False, None),
+    ("s(n)*s(n) == s(2*n)*s(2*n)", False, "grid"),
+    ("s(0*n + r)*s(n + 1) + s(2^e - r)*s(n) == s(2^e*n + r)", False, "grid"),
+])
+def test_affine_in_n_reads_the_degree_of_each_index_and_side(text, affine, path):
+    ident = bind_presets(parse_identity(text))
+    assert ident.affine_in_n is affine
+    outcome = _outcome(verify, ident, 4, 16)
+    assert outcome == _outcome(reference_verify, ident, 4, 16)
+    assert getattr(outcome, "path", None) == path
 
 
 # rows whose n coefficient is not a power of two are scanned, though they hold

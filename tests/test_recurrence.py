@@ -4,7 +4,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sternlike import (DomainError, RangeError, SpecError, UnknownPresetError,
@@ -185,6 +185,26 @@ def test_extend_in_rounds_matches_descent(spec, steps, odd):
     for step in steps:
         _extend(spec, values, len(values) + step)
     assert values == [eval_direct(spec, n) for n in range(len(values))]
+
+
+@settings(deadline=None, max_examples=40)
+@given(_specs(), st.integers(0, 8 * _ROUND), st.integers(0, 3 * _ROUND),
+       st.lists(st.tuples(st.booleans(), st.integers(-3, 6 * _ROUND), st.integers(1, 1500),
+                          st.integers(1, 24)), min_size=1, max_size=4))
+@example(preset("stern"), 8 * _ROUND, 0, [(False, 0, 1500, 16)])
+def test_term_lookup_grows_less_than_a_round_past_its_largest_read(spec, limit, start, runs):
+    # ascending runs of reads from 0 or from `limit`, each plus an offset: small
+    # steps walk past 2*_ROUND, each later run jumps, and some reads land at or
+    # past `limit`, where they descend; the prefix starts fresh or longer
+    values, value = _term_lookup(spec, limit, "v", prefix(spec, max(start, 2 * spec.n_eff)))
+    initial, largest = len(values), -_ROUND
+    for at_limit, offset, count, step in runs:
+        first = max((limit if at_limit else 0) + offset, 0)
+        for n in range(first, first + count * step, step):
+            assert value(n) == eval_direct(spec, n)
+            if n < limit:
+                largest = max(largest, n)
+            assert len(values) <= max(initial, min(limit, largest + _ROUND)), n
 
 
 @settings(deadline=None)

@@ -1,8 +1,10 @@
-"""Mutation check of the certificates in `sternlike.identities`.
+"""Mutation check of the certificates in `sternlike.identities` and of the
+prefix bound in `sternlike.recurrence`.
 
 Each mutant is one small edit of the source, the kind of slip that would let
 a certificate claim "holds for all n" or "for all e" when it does not, or
-refuse what it should prove.  The check applies each mutant alone to a copy
+refuse what it should prove, or let a prefix grow a round or more past the
+largest index read.  The check applies each mutant alone to a copy
 of the repository and runs only the tests listed for it; a mutant that those
 tests do not kill survives.
 
@@ -37,6 +39,7 @@ class Mutant(NamedTuple):
 
 
 _IDENTITIES = "src/sternlike/identities.py"
+_RECURRENCE = "src/sternlike/recurrence.py"
 _T = "tests/test_identities.py::"
 _LEVELS = _T + "test_levels_certificates_prove_or_refuse_identities_without_n"
 _DRAWN_LEVELS = _T + "test_level_certificates_match_the_reference_scan"
@@ -46,6 +49,8 @@ _SHIFTS = _T + "test_certificates_rest_on_relations_among_shifts"
 _REFUSED = _T + "test_a_refused_row_is_followed_by_a_counterexample"
 _BASIS = _T + "test_the_window_basis_spans_the_windows_from_its_start"
 _ZERO = _T + "test_a_term_with_n_coefficient_zero_joins_the_rows_constant"
+_GROWTH = "tests/test_recurrence.py::test_term_lookup_grows_less_than_a_round_past_its_largest_read"
+_SCAN_GROWTH = _T + "test_a_whole_scan_ends_its_prefix_less_than_a_round_past_its_largest_read"
 
 MUTANTS: tuple[Mutant, ...] = (
     # the level certificate
@@ -115,6 +120,13 @@ MUTANTS: tuple[Mutant, ...] = (
            "_span queues only 2i + 1", (_BASIS,)),
     Mutant(_IDENTITIES, "todo = list(range(start, 2 * start))",
            "todo = list(range(start + 1, 2 * start))", "_span seeded from start + 1", (_BASIS,)),
+    # the prefix bound
+    Mutant(_RECURRENCE, "min(max(n + 1, 2 * len(values)), n + _ROUND, limit)",
+           "min(max(n + 1, 2 * len(values)), limit)",
+           "a read past the prefix doubles it up to the limit", (_GROWTH, _SCAN_GROWTH)),
+    Mutant(_RECURRENCE, "min(max(n + 1, 2 * len(values)), n + _ROUND, limit)",
+           "min(max(n + 1, 2 * len(values)), n + 2 * _ROUND, limit)",
+           "a read past the prefix grows it two rounds past the index", (_GROWTH, _SCAN_GROWTH)),
 )
 
 
