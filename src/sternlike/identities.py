@@ -26,17 +26,18 @@ sequence and grows it level by level, each level at most one round of
 `recurrence._term_lookup` past the largest index it reads, and never past
 8x its grid.
 
-When both sides are affine in the terms that mention n, each row (e, r) is
-first certified for all n (see `_Proof`) by testing a linear relation among
-the sequences' values against the span of their windows (see `_span`).  A
-certified row scans only its instances below the certificate's start,
-mostly just its first; a refused one is scanned whole.  An identity without
-n is decided from its tree before any level runs (see `_levels`): when each
-side is a constant combination of terms v(p*2^e + s*r), s = 1 or -1, every
-level is certified at once with the same span and none is scanned.  A
-power or A/B outside the term indices refuses it, and every level is
-scanned.  Verdicts, counts, counterexamples and errors are the scan's
-either way.
+Before any level runs, every identity is read from its tree (see
+`_certified`).  When lhs - rhs is linear in the values at (e, r) --
+v(p*2^e + s*r), s = 1 or -1, A(e, r) and B(e, r), each possibly times
+(-1)^e -- once Reznick's relation has rewritten each term with n into
+shifts v(n + d), the identity is certified for every e, r and n at once by
+testing linear relations against the span of the sequences' windows (see
+`_span`), closed once over n and once over i = 2^e + r; then no level runs.
+Otherwise, when both sides are affine in the terms that mention n, each
+row (e, r) is certified for all n on its own (see `_Proof`): a certified
+row scans only its instances below the certificate's start, mostly just its
+first, and a refused one is scanned whole.  Verdicts, counts,
+counterexamples and errors are the scan's either way.
 
 The catalog ships every identity this library asserts about the presets.
 Statements whose published closed form is questionable appear twice, as a
@@ -84,10 +85,11 @@ class Counterexample(NamedTuple):
 
 @dataclass(frozen=True)
 class Verdict:
-    """`path` is "proof" when every row of the grid was certified for all n,
-    "levels" when every level of an identity without n was certified, and
-    "grid" otherwise; it takes no part in equality.  `scope`, which follows
-    from it, says which instances the verdict covers."""
+    """`path` is "all" when an identity with n was certified for every
+    (e, r, n) at once, "levels" when an identity without n was certified at
+    every level, "proof" when every row of the grid was certified for all n,
+    and "grid" otherwise; it takes no part in equality.  `scope`, which
+    follows from it, says which instances the verdict covers."""
 
     holds: bool
     checked_count: int
@@ -96,7 +98,8 @@ class Verdict:
 
     @property
     def scope(self) -> str:
-        return {"proof": "all n ≥ n_min",
+        return {"all": "all e ≥ 0, 0 ≤ r ≤ 2^e, n ≥ n_min",
+                "proof": "all n ≥ n_min",
                 "levels": "all e ≥ 0, 0 ≤ r ≤ 2^e"}.get(self.path, "n_min ≤ n ≤ N")
 
 
@@ -211,33 +214,47 @@ def _affine_degree(node: Node, var: str) -> int | None:
     return None
 
 
-def _shape(node: Node) -> tuple[int, int, int, int] | None:
-    """(p, s, q, b) with the index `node` = p*2^e + s*r + q*e + b, read from
-    the tree, or None unless it is built from literals, e, r and powers
-    2^(e + k), k >= 0, by +, - and products with a constant."""
+# the largest k of a power 2^(e + k) that `_shape` reads; a larger one is
+# left to the scan, which computes it where it meets it
+_MAX_K = 64
+
+
+def _shape(node: Node) -> tuple[int, int, int, int, int, int] | None:
+    """(p, s, q, b, a, g) with the index `node` = p*2^e + s*r + q*e + b +
+    a*n + g*2^e*n, read from the tree, or None unless it is built from
+    literals, e, r, n and powers 2^(e + k), 0 <= k <= `_MAX_K`, by +, - and
+    products with a constant or of p*2^e with a*n + b."""
     if isinstance(node, Lit):
-        return 0, 0, 0, node.value
+        return 0, 0, 0, node.value, 0, 0
     if isinstance(node, Var):
-        return {"r": (0, 1, 0, 0), "e": (0, 0, 1, 0)}.get(node.name)
+        return {"r": (0, 1, 0, 0, 0, 0), "e": (0, 0, 1, 0, 0, 0), "n": (0, 0, 0, 0, 1, 0)}[node.name]
     lhs, rhs = _shape(node.lhs), _shape(node.rhs)
     if lhs is None or rhs is None:
         return None
     if node.op in "+-":
         return tuple(u + v if node.op == "+" else u - v for u, v in zip(lhs, rhs))
-    if node.op == "*" and not (any(lhs[:3]) and any(rhs[:3])):  # one factor is constant
-        return (*(u * rhs[3] + v * lhs[3] for u, v in zip(lhs[:3], rhs[:3])), lhs[3] * rhs[3])
-    if node.op == "^" and lhs == (0, 0, 0, 2) and rhs[:3] == (0, 0, 1) and rhs[3] >= 0:
-        return 1 << rhs[3], 0, 0, 0
+    if node.op == "*":
+        for x, y in ((lhs, rhs), (rhs, lhs)):
+            if not any(x[:3] + x[4:]):  # a constant
+                return tuple(x[3] * v for v in y)
+            if not any(x[1:] + y[:3] + y[5:]):  # p*2^e times a*n + b
+                return x[0] * y[3], 0, 0, 0, 0, x[0] * y[4]
+        return None
+    if lhs == (0, 0, 0, 2, 0, 0) and rhs[:3] == (0, 0, 1) and not any(rhs[4:]) \
+            and 0 <= rhs[3] <= _MAX_K:
+        return 1 << rhs[3], 0, 0, 0, 0, 0
     return None
 
 
-# a certificate computes at most this many windows beyond its row's n range
+# a row certificate computes at most this many windows beyond its row's n
+# range, and `_certified` windows of at most this width from at most this start
 _WINDOW = 64
 
 
 class _Proof:
-    """Certifies the rows of one `verify` for all n, and counts the rows it
-    refuses.  The kernel calls it once per row, after the row's first
+    """Certifies the rows of one `verify` for all n, one at a time, when
+    `_certified` refuses the identity, and counts the rows it refuses.  The
+    kernel calls it once per row, after the row's first
     instance, as `proof(n, top, c, (k, a, b, x), ...)`: at every m, the row's
     lhs - rhs is c + sum of x*v_k(a*(m - n) + b), one tuple per term that
     mentions n, read from sequence slot k.  A term with a = 0 reads v_k(b),
@@ -315,74 +332,192 @@ class _Proof:
 
     def basis(self, width: int, start: int) -> list[list[int]]:
         if (width, start) not in self.bases:
-            specs = [self.specs[k] for k in self.slots]
-            value = cache(eval_direct)
-            self.bases[width, start] = _span(start, lambda i: [
-                *(value(spec, i + d) for spec in specs for d in range(width + 1)), 1])
+            self.bases[width, start] = _shifts([self.specs[k] for k in self.slots], width, start)
         return self.bases[width, start]
 
 
-def _form(node: Node) -> dict[Term | None, int] | None:
-    """A side as {term: coefficient, None: constant}, or None unless it is
-    built from literals and terms by +, - and products with a constant."""
+def _shifts(specs: list[SternLikeSpec], width: int, start: int) -> list[list[int]]:
+    """A basis of the span U of the windows w(i) = (v(i + d))_(v, 0<=d<=width)
+    + (1,), one block per sequence v of `specs`, from i = `start` >= every
+    n_eff on (see `_span`)."""
+    value = cache(eval_direct)
+    return _span(start, lambda i: [
+        *(value(spec, i + d) for spec in specs for d in range(width + 1)), 1])
+
+
+# A side read by `_form` is {(sign, atom, entry): x}: the sum of each x times
+# (-1)^e if `sign`, times the value `atom` at (e, r) unless it is None, times
+# v(n + d) if `entry` is (v, d), not None.  An atom is ("v", v, p, s), the
+# term v(p*2^e + s*r) with s = 1 or -1, or ("A" or "B", v), the coefficient
+# A(e, r) or B(e, r) of v.  So a product holds at most one atom and one entry.
+_Key = tuple[bool, tuple | None, tuple[SternLikeSpec, int] | None]
+_SIGNS = {(0, 0, 0, 1, 0, 0): 1, (0, 0, 0, -1, 0, 0): -1}  # the base of a sign, by its shape
+
+
+def _form(node: Node, term: Callable[[Term], dict[_Key, int] | None],
+          coeffs: SternLikeSpec | None) -> dict[_Key, int] | None:
+    """A side as above, each term read by `term` and A(e, r)/B(e, r) from
+    `coeffs`, or None unless it is built from literals, terms, A(e, r),
+    B(e, r) and signs (0 - 1)^(e + k), k >= 0, by +, - and products that
+    multiply no two atoms and no two entries."""
     if isinstance(node, Lit):
-        return {None: node.value}
+        return {(False, None, None): node.value}
     if isinstance(node, Term):
-        return {None: 0, node: 1}
-    if not isinstance(node, BinOp):
-        return None
-    lhs, rhs = _form(node.lhs), _form(node.rhs)
+        return term(node)
+    if isinstance(node, Coeff):
+        if coeffs is None or (_shape(node.e_arg), _shape(node.r_arg)) != (
+                (0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0)):
+            return None
+        return {(False, (node.kind, coeffs), None): 1}
+    if node.op == "^":
+        base, exp = _SIGNS.get(_shape(node.lhs)), _shape(node.rhs)
+        if base is None or exp is None or exp[:3] != (0, 0, 1) or any(exp[4:]) or exp[3] < 0:
+            return None
+        return {(base < 0, None, None): base ** (exp[3] & 1)}
+    lhs, rhs = _form(node.lhs, term, coeffs), _form(node.rhs, term, coeffs)
     if lhs is None or rhs is None:
         return None
     if node.op in "+-":
         sign = 1 if node.op == "+" else -1
         return {**lhs, **{k: lhs.get(k, 0) + sign * x for k, x in rhs.items()}}
-    const, form = sorted((lhs, rhs), key=len)
-    if node.op == "*" and len(const) == 1:  # one factor is constant
-        return {k: const[None] * x for k, x in form.items()}
-    return None
+    out: dict[_Key, int] = {}
+    for (sign, atom, entry), x in lhs.items():
+        for (sign2, atom2, entry2), y in rhs.items():
+            if atom and atom2 or entry and entry2:
+                return None
+            key = (sign != sign2, atom or atom2, entry or entry2)
+            out[key] = out.get(key, 0) + x * y
+    return out
 
 
-def _levels(identity: Identity) -> bool:
-    """Whether an identity without n holds at every level, read from its
-    tree: lhs - rhs is c + sum of x*v(I), one x per distinct term (`_form`).
-    When each I is p*2^e + s*r, s = 1 or -1, (e, r) -> (e + 1, 2r + d) takes
-    I to 2I + s*d, so over i = 2^e + r, 0 <= r < 2^e, the windows
-    (v(I), v(I + s)), one per term, plus (1,), are at 2i + d one linear map
-    of those at i while the stored initial values obey the recurrence at
-    every index they read; the least of those, p*2^e, or (p - 1)*2^e for
-    s = -1, is smallest at level 0.  lhs - rhs is one form in the window,
-    and at r = 2^e the form one entry further along at i = 2^(e + 1) - 1.
-    Every level holds when both forms are orthogonal to the span (`_span`)
-    of the windows from i = 1; no index is then negative and no instance
-    computes a power but 2^(e + k), so none could raise."""
-    form = _form(BinOp("-", identity.lhs, identity.rhs))
+def _certified(identity: Identity) -> bool:
+    """Whether the identity holds at every (e, r, n), 0 <= r <= 2^e and
+    n >= n_min, read from its tree, with no instance that could raise.
+
+    Each term index must read p*2^e + s*r + b + a*n + g*2^e*n (`_shape`), and
+    be >= 0 at the corners e = 0 or large, r = 0 or 2^e, n = n_min, where an
+    index of degree 1 in r and n takes its least values.  Reznick's relation
+    writes a term v(2^j*n + b) as A(j, p)*v(n + q) + B(j, p)*v(n + q + 1),
+    (q, p) = divmod(b, 2^j), and v(2^e*(n + q) + r) as A(e, r)*v(n + q) +
+    B(e, r)*v(n + q + 1), p = r up to and including r = 2^e; a term free of n
+    is a constant v(b) or an atom v(p*2^e + s*r).  Then lhs - rhs is
+    L(e, r).w(n + lo), one `_form`, where w(i) = (v(i + d))_(v, d) + (1,) is
+    the window over the shifts lo .. hi of every rewritten term, valid from
+    n + lo >= n_eff on.  Every entry of L is linear in the atoms, and it
+    vanishes for all those n exactly when L(e, r).u = 0 for each u of a
+    basis of the span U of the windows (`_shifts`): one form in the atoms
+    per u.  Each n_min <= n below that start is an identity without n, read
+    the same way: one form more.
+
+    The rows (e, r), 0 <= r < 2^e, are i = 2^e + r, and (e, r) -> (e + 1,
+    2r + d) is i -> 2i + d.  Over i, each atom's window (x(e, r), x(e, r + 1))
+    at 2i + d is one linear map of that at i: v(p*2^e + s*r) -> v(2I + s*d)
+    while the stored values obey the recurrence at every index read, the
+    least of which, p*2^e, or (p - 1)*2^e for s = -1, is smallest at level 0;
+    A and B double by `recurrence._double`; (-1)^e changes sign.  A form
+    vanishes at every row r < 2^e when it is orthogonal to the span of
+    these windows from i = 1 (`_span`) with its coefficients on each
+    window's first entry, and at r = 2^e, read at i = 2^(e + 1) - 1, with
+    them on the second.  A power other than 2^(e + k) in an index or a sign
+    outside them, A(e, r)/B(e, r) with other arguments, e outside a power,
+    or a product of two atoms or of two terms with n refuses it; and no
+    instance of a certified identity could raise."""
+    specs, n_min = dict(identity.bindings), identity.n_min
+    coeffs = set(specs.values())
+    coeffs = coeffs.pop() if len(coeffs) == 1 else None
+    shifts: list[tuple[SternLikeSpec, int]] = []  # (v, q) of each term rewritten
+
+    def read(node: Term, n: int | None) -> dict[_Key, int] | None:
+        spec, shape = specs[node.seq], _shape(node.arg)
+        if shape is None or shape[2]:
+            return None
+        p, s, _, b, a, g = shape
+        # 2^e's factor at r = 0 and r = 2^e, and the rest, at n = n_min
+        p0, p1, rest = p + g * n_min, p + s + g * n_min, b + a * n_min
+        if min(p0, p1, p0 + rest, p1 + rest) < 0:
+            return None
+        if n is not None:  # the instance at n: a term free of n
+            p, b, a, g = p + g * n, b + a * n, 0, 0
+        if not a and not g:
+            if not p and not s:
+                return {(False, None, None): eval_direct(spec, b)}
+            v, least = spec.init, p - (s < 0)
+            if b or s not in (1, -1) or any(
+                    (v[2 * k], v[2 * k + 1]) != (spec.a * v[k], spec.b * v[k] + spec.c * v[k + 1])
+                    for k in range(least, spec.n_eff)):
+                return None
+            return {(False, ("v", spec, p, s), None): 1}
+        if not (p or s or g) and not a & (a - 1):
+            q, p = divmod(b, a)
+            x, y = coeff_at(spec, a.bit_length() - 1, p)
+            shifts.append((spec, q))
+            return {(False, None, (spec, q)): x, (False, None, (spec, q + 1)): y}
+        if (s, b, a, g) == (1, 0, 0, 1):
+            shifts.append((spec, p))
+            return {(False, ("A", spec), (spec, p)): 1, (False, ("B", spec), (spec, p + 1)): 1}
+        return None
+
+    diff = BinOp("-", identity.lhs, identity.rhs)
+    form = _form(diff, lambda node: read(node, None), coeffs)
     if form is None:
         return False
-    const, specs, blocks = form.pop(None), dict(identity.bindings), []
-    forms = ([const], [const])
-    for term, x in form.items():
-        shape, spec = _shape(term.arg), specs[term.seq]
-        # a term without r would add to c a value that changes with e
-        if shape is None or shape[1:] not in ((1, 0, 0), (-1, 0, 0)):
+    entries: dict[tuple | None, dict[tuple, int]] = {}  # L: entry -> {(sign, atom): x}
+    for (sign, atom, entry), x in form.items():
+        entries.setdefault(entry, {})[sign, atom] = x
+    forms = []  # in the atoms: {(sign, atom): x}
+    if shifts:
+        lo = min(q for _, q in shifts)
+        width = max(q for _, q in shifts) + 1 - lo
+        window = list(dict.fromkeys(spec for spec, _ in shifts))
+        start = max(n_min + lo, *(spec.n_eff for spec in window))
+        if max(width, start) > _WINDOW:  # `_span` computes at least `start` windows
             return False
-        p, s = shape[:2]
-        least, v = p - (s < 0), spec.init
-        if least < 0 or any(
-                (v[2 * k], v[2 * k + 1]) != (spec.a * v[k], spec.b * v[k] + spec.c * v[k + 1])
-                for k in range(least, spec.n_eff)):
-            return False
-        blocks.append((spec, p, s))
-        forms[0].extend((x, 0))  # the rows r < 2^e
-        forms[1].extend((0, x))  # the row r = 2^e
-    value = cache(eval_direct)
+        for n in range(n_min, start - lo):
+            below = _form(diff, lambda node: read(node, n), coeffs)
+            if below is None:
+                return False
+            forms.append({(sign, atom): x for (sign, atom, _), x in below.items()})
+    if any(x for row in entries.values() for x in row.values()):
+        if shifts:
+            at = {(spec, lo + d): k * (width + 1) + d
+                  for k, spec in enumerate(window) for d in range(width + 1)}
+            at[None], basis = len(window) * (width + 1), _shifts(window, width, start)
+        else:
+            at, basis = {None: 0}, [[1]]
+        for u in basis:
+            forms.append({})
+            for entry, row in entries.items():
+                for key, x in row.items():
+                    forms[-1][key] = forms[-1].get(key, 0) + u[at[entry]] * x
+    forms = [form for form in forms if any(form.values())]
+    if not forms:
+        return True
+    atoms = list(dict.fromkeys(key for form in forms for key in form))
+    # each form on the windows' first entries (r < 2^e) and on their second (r = 2^e)
+    vectors = [[form.get(key, 0) * (k == j) for key in atoms for k in (0, 1)]
+               for form in forms for j in (0, 1)]
+    return not any(sum(map(mul, vector, row)) for row in _span(1, _rows(atoms))
+                   for vector in vectors)
 
-    def window(i: int) -> list[int]:
+
+def _rows(atoms: list[tuple[bool, tuple | None]]) -> Callable[[int], list[int]]:
+    """The windows w(i), i = 2^e + r >= 1, 0 <= r < 2^e, over the rows of
+    `_certified`: per (sign, atom), (x(e, r), x(e, r + 1)), each times (-1)^e
+    if `sign`, with x the atom's value (1 for None)."""
+    value, coeff = cache(eval_direct), cache(coeff_at)
+
+    def at_row(atom: tuple | None, e: int, r: int) -> int:
+        if atom is None:
+            return 1
+        if atom[0] == "v":
+            return value(atom[1], (atom[2] << e) + atom[3] * r)
+        return coeff(atom[1], e, r)[atom[0] == "B"]
+
+    def windows(i: int) -> list[int]:
         e = i.bit_length() - 1
-        return [1, *(value(spec, (p - s << e) + s * (i + k))
-                     for spec, p, s in blocks for k in (0, 1))]
-
-    return not any(sum(map(mul, form, row)) for row in _span(1, window) for form in forms)
+        r = i - (1 << e)
+        return [(-1) ** (sign and e) * at_row(atom, e, r + k) for sign, atom in atoms for k in (0, 1)]
+    return windows
 
 
 def _span(start: int, window: Callable[[int], list[int]]) -> list[list[int]]:
@@ -411,12 +546,36 @@ def _span(start: int, window: Callable[[int], list[int]]) -> list[list[int]]:
     return list(basis.values())
 
 
-def _at_next(node: Node) -> Node:
-    """An index with n replaced by n + 1."""
-    if node == Var("n"):
-        return BinOp("+", node, Lit(1))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _at_next(node.lhs), _at_next(node.rhs))
+def _with_n(*roots: Node) -> set[int]:
+    """The ids of the subtrees under `roots` that mention n, in one walk."""
+    found: set[int] = set()
+
+    def visit(node: Node) -> bool:
+        if isinstance(node, Var):
+            hit = node.name == "n"
+        else:
+            hit = any([visit(getattr(node, attr)) for attr in ("lhs", "rhs", "arg", "e_arg", "r_arg")
+                       if hasattr(node, attr)])
+        if hit:
+            found.add(id(node))
+        return hit
+
+    for root in roots:
+        visit(root)
+    return found
+
+
+def _at_next(node: Node, with_n: set[int]) -> Node:
+    """An index with n replaced by n + 1, which keeps each subtree free of n;
+    `with_n` holds the ids of the subtrees that mention n (`_with_n`) and
+    gains those built here."""
+    if id(node) not in with_n:
+        return node
+    if isinstance(node, Var):
+        node = BinOp("+", node, Lit(1))
+    else:
+        node = BinOp(node.op, _at_next(node.lhs, with_n), _at_next(node.rhs, with_n))
+    with_n.add(id(node))
     return node
 
 
@@ -427,8 +586,8 @@ def _bind(identity: Identity, e: int, limit: int, carried: dict[str, object] | N
     `_f<k>`, bounded by `limit`; when the identity has A(e, r)/B(e, r),
     readers `_cA`/`_cB` of the coefficient table of its one bound sequence,
     rows up to e, `coeff_at` (which validates) beyond; and, if `certify`,
-    the row certificate `_proof` in `carried` names or a new `_Proof`, set
-    to level e.  Binding errors raise here."""
+    the row certificate `_proof` in `carried` names, set to level e.
+    Binding errors raise here."""
     bound = dict(identity.bindings)
     missing = [seq for seq in identity.seq_names if seq not in bound]
     if missing:
@@ -447,7 +606,7 @@ def _bind(identity: Identity, e: int, limit: int, carried: dict[str, object] | N
         names["_cA"] = _coeff_reader(table, 0)
         names["_cB"] = _coeff_reader(table, 1)
     if certify:
-        proof = carried["_proof"] if carried else _Proof(identity)
+        proof = carried["_proof"]
         proof.level(e, table)
         names["_proof"] = proof
     return names
@@ -528,9 +687,10 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     slot = _slots(identity)
     sizes = [f"_m{k} = len(_v{k})" for k in slot.values()]
     hoisted: dict[Node, str] = {}
+    with_n = _with_n(identity.lhs, identity.rhs)
 
     def first(node: Node, text: str) -> str:
-        if mentions(node, "n"):
+        if id(node) in with_n:
             return text
         if node in hoisted:
             return hoisted[node]
@@ -538,7 +698,7 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
         return f"({hoisted[node]} := {text})"
 
     def hoist(node: Node, text: str) -> str:
-        return text if mentions(node, "n") else hoisted[node]
+        return text if id(node) in with_n else hoisted[node]
 
     def block(lines: list[str], indent: int) -> str:
         return "\n".join(" " * indent + line for line in lines)
@@ -549,10 +709,10 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     proof = ["_top = n_hi"]
     if "_proof" in params:
         terms = {term: t for t, term in enumerate(dict.fromkeys(
-            term for term in identity._terms if mentions(term, "n")))}
+            term for term in identity._terms if id(term) in with_n))}
 
         def read(node: Node, text: str) -> str:
-            if isinstance(node, Term) and mentions(node, "n"):
+            if isinstance(node, Term) and id(node) in with_n:
                 return f"_t{terms[node]}"
             return hoist(node, text)
 
@@ -561,7 +721,7 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
         proof = [" = ".join([*(f"_t{t}" for t in terms.values()), "0"]), f"_c = {lhs} - {rhs}"]
         for term, t in terms.items():
             proof += [f"_b{t} = {_emit(term.arg, slot, hoist)}",
-                      f"_a{t} = {_emit(_at_next(term.arg), slot, hoist)} - _b{t}",
+                      f"_a{t} = {_emit(_at_next(term.arg, with_n), slot, hoist)} - _b{t}",
                       f"_t{t} = 1", f"_x{t} = {lhs} - {rhs} - _c", f"_t{t} = 0"]
         reads = "".join(f", ({slot[term.seq]}, _a{t}, _b{t}, _x{t})" for term, t in terms.items())
         proof.append(f"_top = _proof(n, n_hi, _c{reads})")
@@ -588,21 +748,22 @@ def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict
     is generated and loaded once per call, and the levels run in e order, each
     growing the prefixes the level before it grew.
 
-    Each row that the certificate proves for all n, see `_Proof`, runs only
-    its instances below the certificate's start; a refused one is scanned
-    whole.  An identity without n that `_levels` proves at every level runs
-    no level.  Verdict, count, counterexample and error are the scan's;
-    `path` is "proof" when every row was certified, "levels" when every
-    level was, and `scope` says what it covers.
+    An identity that `_certified` proves from its tree, for every (e, r, n)
+    at once, runs no level, loads no kernel and grows no prefix past its
+    binding's.  Otherwise each row that the row certificate proves for all
+    n, see `_Proof`, runs only its instances below the certificate's start,
+    and a refused one is scanned whole.  Verdict, count, counterexample and
+    error are the scan's; `path` is "all" when the identity with n was
+    certified from its tree, "levels" when the identity without n was,
+    "proof" when every row was certified, and `scope` says what it covers.
     """
     return _verify(identity, e_max, n_max, jobs, certify=True)
 
 
 def _verify(identity: Identity, e_max: int, n_max: int, jobs: int, certify: bool) -> Verdict:
     """`verify`, scanning every instance of the grid unless `certify`."""
-    rows = certify and identity.affine_in_n
     # binding errors surface here, before any level
-    names = _bind(identity, 0, 0, certify=rows)
+    names = _bind(identity, 0, 0)
     if jobs < 1:
         raise RangeError(f"jobs must be >= 1, got {jobs}")
     if e_max < 0:
@@ -612,8 +773,11 @@ def _verify(identity: Identity, e_max: int, n_max: int, jobs: int, certify: bool
     n_lo = identity.n_min
     n_hi = n_max if identity.uses_n else n_lo
     count = ((2 << e_max) + e_max) * (n_hi - n_lo + 1)
-    if certify and not identity.uses_n and _levels(identity):
-        return Verdict(True, count, path="levels")
+    if certify and _certified(identity):
+        return Verdict(True, count, path="all" if identity.uses_n else "levels")
+    rows = certify and identity.affine_in_n
+    if rows:
+        names["_proof"] = _Proof(identity)
     make = _load(_kernel_source(identity, tuple(names)))
     for e in range(e_max + 1):
         # every catalog index stays below 8x the level's grid (5*2^e*n + r needs 5x)

@@ -57,20 +57,28 @@ def parse_bfile(text: str, source: str = "") -> BFileTable:
     return BFileTable(tuple(records), source)
 
 
-def table_rows(spec: SternLikeSpec, lo: int, hi: int) -> list[tuple[int, int]]:
-    """(n, v(n)) for lo <= n <= hi, leaving out the placeholder indices below 0
-    and below the spec's output_min_index; RangeError if that leaves none."""
+def _first_row(spec: SternLikeSpec, lo: int, hi: int) -> int:
+    """The first index of `table_rows`; RangeError if the range holds none."""
     if lo > hi:
         raise RangeError(f"empty range: lo={lo} > hi={hi}")
     start = max(lo, spec.output_min_index, 0)
     if start > hi:
         raise RangeError(f"empty range: {spec.label()} starts at n={start} > hi={hi}")
+    return start
+
+
+def table_rows(spec: SternLikeSpec, lo: int, hi: int) -> list[tuple[int, int]]:
+    """(n, v(n)) for lo <= n <= hi, leaving out the placeholder indices below 0
+    and below the spec's output_min_index; RangeError if that leaves none."""
+    start = _first_row(spec, lo, hi)
     return list(zip(range(start, hi + 1), eval_range(spec, start, hi)))
 
 
 def write_bfile(spec: SternLikeSpec, lo: int, hi: int) -> str:
-    """Render the `table_rows` of v(lo)..v(hi) in b-file format."""
-    return "".join(f"{n} {v}\n" for n, v in table_rows(spec, lo, hi))
+    """Render the `table_rows` of v(lo)..v(hi) in b-file format, formatted
+    straight from the values."""
+    start = _first_row(spec, lo, hi)
+    return "".join(map("{} {}\n".format, range(start, hi + 1), eval_range(spec, start, hi)))
 
 
 @dataclass(frozen=True)

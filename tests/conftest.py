@@ -31,6 +31,15 @@ def scan_only(identity, e_max, n_max):
     return _verify(identity, e_max, n_max, 1, certify=False)
 
 
+def rows_only(identity, e_max, n_max):
+    """`verify` without the certificate read from the identity's tree: each
+    row is certified for all n on its own, or scanned."""
+    from sternlike import identities
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "_certified", lambda identity: False)
+        return identities.verify(identity, e_max, n_max)
+
+
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES

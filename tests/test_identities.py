@@ -18,10 +18,10 @@ from sternlike import (DomainError, ParseError, RangeError,
                        preset, verify)
 from sternlike import identities, recurrence
 from sternlike.recurrence import _ROUND, PRESET_NAMES
-from sternlike.identities import (Counterexample, bind_presets, render,
-                                  VARIANT_FAMILIES)
+from sternlike.identities import (BinOp, Coeff, Counterexample, Lit, Term, bind_presets,
+                                  render, VARIANT_FAMILIES)
 
-from conftest import scan_only
+from conftest import rows_only, scan_only
 
 
 def test_parse_coons():
@@ -438,7 +438,7 @@ CRITERION_2_GRIDS = (
 
 
 def test_holding_catalog_identities_with_n_are_certified_for_all_n(monkeypatch):
-    tops = []  # (n, the last n its row scans) per certificate
+    tops = []  # (n, the last n its row scans) per row certificate
     certify = identities._Proof.__call__
 
     def recording(self, n, top, *args):
@@ -450,16 +450,22 @@ def test_holding_catalog_identities_with_n_are_certified_for_all_n(monkeypatch):
         verdict = verify(ident, e_max, n_max)
         assert verdict.holds, name
         assert (verdict.path, verdict.scope) == (
-            ("proof", "all n ≥ n_min") if ident.uses_n
+            ("all", "all e ≥ 0, 0 ≤ r ≤ 2^e, n ≥ n_min") if ident.uses_n
             else ("levels", "all e ≥ 0, 0 ≤ r ≤ 2^e")), name
+    assert tops == []  # no row certificate ran
     outside = [ident.name for ident in catalog() if not ident.affine_in_n]
     assert outside == ["stern_reflect", "t_aux", "z2_aux", "z2_thm_printed"]
     for ident in catalog():
-        tops.clear()
         verdict = verify(ident, 4, 16)
         if verdict.holds:
-            assert verdict.path == ("proof" if ident.affine_in_n else "levels"), ident.name
-        if verdict.path == "proof":  # each row ran its first instance alone
+            assert verdict.path == ("all" if ident.uses_n else "levels"), ident.name
+        # without the certificate from the tree, every row of an identity with
+        # n that holds is certified for all n and runs its first instance alone
+        tops.clear()
+        rows = rows_only(ident, 4, 16)
+        assert rows == verdict, ident.name
+        if rows.holds and ident.uses_n:
+            assert rows.path == "proof", ident.name
             assert all(top < n for n, top in tops), ident.name
 
 
@@ -487,26 +493,86 @@ def test_certified_verify_matches_the_reference_scan_on_drawn_specs(abc, n0, ini
         ident = replace(_REZNICK, bindings=(("v", spec),), n_min=n_min)
     n_max = max(n_max, ident.n_min)
     expected = _outcome(reference_verify, ident, e_max, n_max)
+    for run in (verify, rows_only):
+        verdict = _outcome(run, ident, e_max, n_max)
+        assert verdict == expected, run
+        path = getattr(verdict, "path", None)
+        if path == "all":  # every (e, r, n)
+            assert scan_only(ident, e_max + 2, n_max + 40).holds
+        elif path == "proof":  # the grid's rows, every n
+            assert scan_only(ident, e_max, n_max + 40).holds
+
+
+def _perturbed(ident, how):
+    """A copy of Reznick's relation or of the general corollary with one
+    slip: the sign of the right side's second summand flipped, the index of
+    its term shifted by 1, or A(e, r) read at r + 1, past its row at r = 2^e."""
+    rhs = ident.rhs
+    if how == "sign":
+        rhs = BinOp("-", rhs.lhs, rhs.rhs)
+    elif how == "shift":
+        factor, term = rhs.rhs.lhs, rhs.rhs.rhs
+        shifted = Term(term.seq, BinOp("+", term.arg, Lit(1)))
+        rhs = BinOp(rhs.op, rhs.lhs, BinOp("*", factor, shifted))
+    else:
+        def read_next(node):
+            if isinstance(node, Coeff):
+                return Coeff(node.kind, node.e_arg, BinOp("+", node.r_arg, Lit(1)))
+            if isinstance(node, BinOp):
+                return BinOp(node.op, read_next(node.lhs), read_next(node.rhs))
+            return node
+        return replace(ident, lhs=read_next(ident.lhs), rhs=read_next(rhs))
+    return replace(ident, rhs=rhs)
+
+
+# Reznick's relation and the general corollary for drawn specs, as they are
+# or with one slip (`_perturbed`): each verdict or error is the reference
+# scan's, a verdict for every (e, r, n) holds on a grid 2 levels and 40 n
+# larger, and a copy that fails or raises there is refused
+@settings(deadline=None, max_examples=80)
+@given(st.tuples(*[st.integers(-3, 3)] * 3), st.sampled_from((0, 1, 2)),
+       st.lists(st.integers(-5, 5), min_size=4, max_size=4), st.sampled_from((0, 1, 2, None)),
+       st.sampled_from((None, "sign", "shift", "coeff")), st.integers(0, 3), st.integers(0, 8))
+@example((1, 1, 1), 0, [0, 1, 0, 0], 0, None, 2, 4)
+@example((1, 1, 1), 0, [0, 1, 0, 0], None, "sign", 2, 4)
+@example((-1, -1, 1), 1, [0, 1, 0, 0], 0, "shift", 2, 4)
+@example((-1, 1, 1), 1, [0, 1, 0, 0], None, "coeff", 2, 4)
+def test_all_certificates_match_the_reference_scan_on_drawn_identities(abc, n0, init, n_min,
+                                                                      slip, e_max, n_max):
+    spec = make_spec(*abc, n0, init[:2 * max(n0, 1)])
+    if n_min is None:
+        ident = generic_corollary(spec)
+    else:
+        ident = replace(_REZNICK, bindings=(("v", spec),), n_min=n_min)
+    if slip:
+        ident = _perturbed(ident, slip)
+    n_max = max(n_max, ident.n_min)
     verdict = _outcome(verify, ident, e_max, n_max)
-    assert verdict == expected
-    if not isinstance(verdict, tuple) and verdict.path == "proof":
-        assert scan_only(ident, e_max, n_max + 40).holds
+    assert verdict == _outcome(reference_verify, ident, e_max, n_max), ident.text
+    further = _outcome(scan_only, ident, e_max + 2, n_max + 40)
+    if getattr(verdict, "path", None) == "all":
+        assert further.holds, ident.text
+    if slip and getattr(further, "holds", False) is False:
+        assert getattr(verdict, "path", None) != "all", ident.text
 
 
 # rows whose difference reduces to a nonzero relation among shifts of the
 # sequence, which only the span of its windows proves: z3 is 3-periodic with
-# zero sum, and v below is 1 from v(1) on
-@pytest.mark.parametrize("text, spec", [
-    ("z3(n) + z3(n + 1) + z3(n + 2) == 0", None),
-    ("z3(2^e*n + r + 3) == z3(2^e*n + r)", None),
-    ("v(n + 1) == 1", make_spec(1, 1, 0, 1, (5, 1))),
+# zero sum, and v below is 1 from v(1) on; the tree's reading refuses the
+# index 2^e*n + r + 3, so only the rows certify the second
+@pytest.mark.parametrize("text, spec, path", [
+    ("z3(n) + z3(n + 1) + z3(n + 2) == 0", None, "all"),
+    ("z3(2^e*n + r + 3) == z3(2^e*n + r)", None, "proof"),
+    ("v(n + 1) == 1", make_spec(1, 1, 0, 1, (5, 1)), "all"),
 ])
-def test_certificates_rest_on_relations_among_shifts(text, spec):
+def test_certificates_rest_on_relations_among_shifts(text, spec, path):
     ident = parse_identity(text)
     ident = bind_presets(ident) if spec is None else replace(ident, bindings=(("v", spec),))
     verdict = verify(ident, 4, 16)
-    assert (verdict.holds, verdict.path) == (True, "proof")
+    assert (verdict.holds, verdict.path) == (True, path)
     assert verdict == reference_verify(ident, 4, 16)
+    rows = rows_only(ident, 4, 16)
+    assert (rows, rows.path) == (verdict, "proof")
 
 
 # each holds on its grid, where every row is refused, and fails just beyond it
@@ -524,23 +590,28 @@ def test_a_refused_row_is_followed_by_a_counterexample(text, e_max, n_max, failu
 # rows whose n-terms read two sequences, so that each window holds one block
 # per sequence and A/B come from `coeff_at`: one certified at every row, one
 # refused at every row, which fails just beyond its grid
-@pytest.mark.parametrize("text, e_max, n_max, path, failure", [
-    ("s(2*n) - s(n) + t(2*n) + t(n) == 0", 4, 24, "proof", None),
-    ("s(2*n + 8) + t(n) == s(n + 8) + s(n + 6) - 2*s(n + 2) + t(n)", 1, 6, "grid", (0, 0, 7)),
+@pytest.mark.parametrize("text, e_max, n_max, path, rows_path, failure", [
+    ("s(2*n) - s(n) + t(2*n) + t(n) == 0", 4, 24, "all", "proof", None),
+    ("s(2*n + 8) + t(n) == s(n + 8) + s(n + 6) - 2*s(n + 2) + t(n)", 1, 6, "grid", "grid",
+     (0, 0, 7)),
 ])
-def test_certificates_over_two_sequences(text, e_max, n_max, path, failure):
+def test_certificates_over_two_sequences(text, e_max, n_max, path, rows_path, failure):
     ident = bind_presets(parse_identity(text))
     assert identities._Proof(ident).spec is None
     verdict = verify(ident, e_max, n_max)
     assert (verdict.holds, verdict.path) == (True, path)
     assert verdict == reference_verify(ident, e_max, n_max)
+    rows = rows_only(ident, e_max, n_max)
+    assert (rows, rows.path) == (verdict, rows_path)
     if failure:
         assert verify(ident, e_max, 64).counterexample[:3] == failure
 
 
-# a term whose n coefficient is 0 reads one value at every n of its row, so it
-# joins the row's constant; a product of two terms that mention n, even with
-# a zero coefficient, stays outside the fragment and is scanned
+# a term whose n coefficient is 0 is free of n: the tree's reading takes it
+# as a value at (e, r), and a row certificate adds the one value it reads at
+# every n of its row to the row's constant; a product of two terms that
+# mention n, even with a zero coefficient, is outside `affine_in_n`, so
+# without the tree's reading its rows are scanned
 @pytest.mark.parametrize("text, path", [
     ("s(0*n + r) + s(2^e - r)*s(n) == s(2^e*n + r) - s(r)*s(n + 1) + s(r)", "proof"),
     ("s(0*n + 3) + s(2*n) == s(n) + 2", "proof"),
@@ -550,8 +621,10 @@ def test_certificates_over_two_sequences(text, e_max, n_max, path, failure):
 def test_a_term_with_n_coefficient_zero_joins_the_rows_constant(text, path):
     ident = bind_presets(parse_identity(text))
     verdict = verify(ident, 4, 16)
-    assert (verdict.holds, verdict.path) == (True, path)
+    assert (verdict.holds, verdict.path) == (True, "all")
     assert verdict == reference_verify(ident, 4, 16)
+    rows = rows_only(ident, 4, 16)
+    assert (rows, rows.path) == (verdict, path)
 
 
 # one identity on each side of `affine_in_n` for every index or side shape
@@ -561,11 +634,11 @@ def test_a_term_with_n_coefficient_zero_joins_the_rows_constant(text, path):
     ("s(n*n) == s(2*n*n)", False, "grid"),
     ("s(2^(n + 1)) == s(2^n)", False, "grid"),
     ("s(r*n + 2^e*n) == s((r + 2^e)*n)", True, "grid"),
-    ("s((n + 1)*2^e + r) == s(r)*s(n + 2) + s(2^e - r)*s(n + 1)", True, "proof"),
+    ("s((n + 1)*2^e + r) == s(r)*s(n + 2) + s(2^e - r)*s(n + 1)", True, "all"),
     ("s(2*(3*n + 1)) == s(3*n + 1)", True, "grid"),
     ("A(n, r)*s(n) == A(n, r)*s(2*n)", False, None),
     ("s(n)*s(n) == s(2*n)*s(2*n)", False, "grid"),
-    ("s(0*n + r)*s(n + 1) + s(2^e - r)*s(n) == s(2^e*n + r)", False, "grid"),
+    ("s(0*n + r)*s(n + 1) + s(2^e - r)*s(n) == s(2^e*n + r)", False, "all"),
 ])
 def test_affine_in_n_reads_the_degree_of_each_index_and_side(text, affine, path):
     ident = bind_presets(parse_identity(text))
@@ -634,7 +707,7 @@ def test_levels_certificates_prove_or_refuse_identities_without_n(text, path):
         assert scan_only(ident, 9, 0).holds
 
 
-def test_certified_levels_load_no_kernel_and_grow_no_prefix(monkeypatch):
+def test_certified_identities_load_no_kernel_and_grow_no_prefix(monkeypatch):
     appended = []
     extend = recurrence._extend
 
@@ -644,20 +717,83 @@ def test_certified_levels_load_no_kernel_and_grow_no_prefix(monkeypatch):
 
     def no_load(source):
         raise AssertionError("a kernel was loaded")
+
+    def no_row(*args):
+        raise AssertionError("a row certificate ran")
     monkeypatch.setattr(recurrence, "_extend", counting_extend)
     for name, e_max, n_max in CRITERION_2_GRIDS:
         ident = catalog_entry(name)
-        if ident.uses_n:
-            continue
         identities._bind(ident, 0, 0)
         bound = sum(appended)  # a binding's prefix, e.g. t(0) .. t(2) from t(0), t(1)
         appended.clear()
         with monkeypatch.context() as patch:
             patch.setattr(identities, "_load", no_load)
-            assert verify(ident, e_max, n_max).path == "levels", name
+            patch.setattr(identities._Proof, "__call__", no_row)
+            assert verify(ident, e_max, n_max).path == ("all" if ident.uses_n else "levels"), name
         # only the binding of `verify` built its prefix; nothing appended to it
         assert sum(appended) == bound, name
         appended.clear()
+
+
+# the closure over n seeds one window per index from its start to twice it,
+# so shift windows that start past `_WINDOW` (a large n_min, or a large
+# shift) or are wider than it are left to the rows, which scan or certify
+@pytest.mark.parametrize("text, n_min, n_max, path", [
+    ("s(2^e*n + r) == s(r)*s(n + 1) + s(2^e - r)*s(n)", 100000, 100003, "grid"),
+    ("s(n + 70) == s(n + 70)", 0, 16, "proof"),
+    ("s(n + 70) + s(n) == s(n + 70) + s(n)", 0, 16, "proof"),
+])
+def test_late_or_wide_shift_windows_are_left_to_the_rows(text, n_min, n_max, path):
+    ident = replace(bind_presets(parse_identity(text)), n_min=n_min)
+    verdict = verify(ident, 2, n_max)
+    assert (verdict, verdict.path) == (scan_only(ident, 2, n_max), path)
+
+
+_ALTERNATING = make_spec(-1, 1, 0, 0, (0, 3))  # v(2m) = -v(m), v(2m + 1) = v(m)
+
+
+# identities with n, each compared with the reference scan: one that holds
+# only from n_min = 1 on, read at n = 1 without n, and one that fails only at
+# n = 1, where v(0) != 2*v(0) breaks the recurrence; a per-level sign; one that
+# fails only at r = 2^e, since v(3*2^e + r) = v(2^e + r) for r < 2^e; one
+# whose form meets only the second basis vector of the shift windows' span;
+# products of two values at (e, r), one failing and one holding, which the
+# rows certify while it holds; terms that read a negative index at a corner of the grid, in
+# n or in r; a sign with a negative exponent; A(e, r + 1), which raises at
+# r = 2^e; an n coefficient 2^e without r beside it; and a power 2^(e + k)
+# with k past `_MAX_K`, which the tree's reading leaves to the rows
+@pytest.mark.parametrize("text, spec, n_min, path", [
+    ("s(n - 1) + s(2^e*n + r) == s(n - 1) + s(r)*s(n + 1) + s(2^e - r)*s(n)", None, 1, "all"),
+    ("v(2*n - 2) == 2*v(n - 1)", make_spec(2, 1, 1, 1, (1, 1)), 1, "grid"),
+    ("(0 - 1)^(e + 3)*t(2^e*n + r) == 0 - s(r)*t(n + 1) - s(2^e - r)*t(n)", None, 1, "all"),
+    ("v(3*2^e + r)*v(n) == v(2^e + r)*v(n)", _ALTERNATING, 0, "grid"),
+    ("s(n + 2) == s(n + 1)", None, 0, "grid"),
+    ("s(r)*s(r)*s(n) == s(r)*s(n)", None, 0, "proof"),
+    ("s(r)*s(2^e - r)*s(n + 1) == s(2^e - r)*s(r)*s(n + 1)", None, 0, "proof"),
+    ("s(n - 1) + s(2^e*n + r) == s(n - 1) + s(r)*s(n + 1) + s(2^e - r)*s(n)", None, 0,
+     "index of s(...) evaluated negative: -1"),
+    ("s(2^e*n + r) + s(0 - r) == s(r)*s(n + 1) + s(2^e - r)*s(n) + s(0 - r)", None, 0,
+     "index of s(...) evaluated negative: -1"),
+    ("(0 - 1)^(e - 1)*s(2^e*n + r) == (0 - 1)^(e - 1)*s(2^e*n + r)", None, 0,
+     "exponent evaluated negative: -1"),
+    ("s(2^e*n + r) == A(e, r + 1)*s(n) + B(e, r)*s(n + 1)", None, 0, "grid"),
+    ("s(2^e*n) == s(n)", None, 0, "proof"),
+    ("s(2^(e + 65)*n + r) == s(2^(e + 65)*n + r)", None, 0, "proof"),
+])
+def test_all_certificates_prove_or_refuse_identities_with_n(text, spec, n_min, path):
+    ident = parse_identity(text)
+    ident = replace(bind_presets(ident) if spec is None else replace(
+        ident, bindings=(("v", spec),)), n_min=n_min)
+    for e_max in (0, 2, 4):
+        expected = _outcome(reference_verify, ident, e_max, 12)
+        verdict = _outcome(verify, ident, e_max, 12)
+        assert verdict == expected, e_max
+        if path not in ("all", "proof", "grid"):
+            assert verdict[1] == path
+        elif verdict.holds:
+            assert verdict.path == path, e_max
+    if path == "all":
+        assert scan_only(ident, 6, 52).holds
 
 
 def _relation(rows, width):
@@ -764,11 +900,31 @@ def test_the_window_basis_spans_the_windows_from_its_start(spec):
             assert _rank(basis + windows) == rank, (width, start)
 
 
+# the closure over i = 2^e + r spans exactly the windows of the values at
+# (e, r) from i = 1 on, checked against 257 of them: A(e, r) and B(e, r) of
+# every preset, and the values v(p*2^e + s*r) of the presets whose stored
+# values obey the recurrence from v(0) on, each once plain and once times
+# (-1)^e, with the constant 1 and (-1)^e beside them
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_the_row_windows_span_the_windows_from_i_1(name):
+    spec = preset(name)
+    v = spec.init
+    atoms = [(False, None), (True, None), (False, ("A", spec)), (True, ("B", spec))]
+    if all((v[2 * k], v[2 * k + 1]) == (spec.a * v[k], spec.b * v[k] + spec.c * v[k + 1])
+           for k in range(spec.n_eff)):
+        atoms += [(False, ("v", spec, 0, 1)), (True, ("v", spec, 3, -1)),
+                  (False, ("v", spec, 2, 1))]
+    windows = identities._rows(atoms)
+    rows = [windows(i) for i in range(1, 258)]
+    basis = identities._span(1, windows)
+    assert _rank(basis) == _rank(rows) == _rank(basis + rows)
+
+
 def test_verdicts_compare_without_path_and_scope():
     ident = catalog_entry("prop1")
-    certified, scanned = verify(ident, 3, 8), scan_only(ident, 3, 8)
-    assert (certified.path, scanned.path) == ("proof", "grid")
-    assert certified == scanned and hash(certified) == hash(scanned)
+    certified, rows, scanned = verify(ident, 3, 8), rows_only(ident, 3, 8), scan_only(ident, 3, 8)
+    assert (certified.path, rows.path, scanned.path) == ("all", "proof", "grid")
+    assert certified == rows == scanned and hash(certified) == hash(scanned) == hash(rows)
 
 
 def test_an_identity_walks_its_tree_once(monkeypatch):

@@ -61,10 +61,15 @@ def test_cli_verify_with_jobs_starts_no_process():
 
 
 def test_verify_certifies_in_integers_alone():
-    # the certificates' span is found fraction-free, without Fraction or Decimal
-    code = ("import sternlike\nv = sternlike.verify(sternlike.catalog_entry('coons'), 4, 16)\n"
-            "print(v.path)")
-    assert _modules_loaded_after(code, ("fractions", "decimal")) == ["proof"]
+    # the certificates' spans are found fraction-free, without Fraction or
+    # Decimal: coons's from its tree, and, for a product of two terms free of
+    # n, which the tree's reading refuses, each row's
+    code = ("import sternlike\nfrom sternlike.identities import bind_presets\n"
+            "v = sternlike.verify(sternlike.catalog_entry('coons'), 4, 16)\n"
+            "w = sternlike.verify(bind_presets(sternlike.parse_identity(\n"
+            "    's(r)*s(r)*s(2^e*n + r) == s(r)*s(r)*(s(r)*s(n + 1) + s(2^e - r)*s(n))')), 4, 16)\n"
+            "print(v.path, w.path)")
+    assert _modules_loaded_after(code, ("fractions", "decimal")) == ["all", "proof"]
 
 
 def test_star_import_binds_every_exported_name():

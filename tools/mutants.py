@@ -43,6 +43,9 @@ _RECURRENCE = "src/sternlike/recurrence.py"
 _T = "tests/test_identities.py::"
 _LEVELS = _T + "test_levels_certificates_prove_or_refuse_identities_without_n"
 _DRAWN_LEVELS = _T + "test_level_certificates_match_the_reference_scan"
+_WITH_N = _T + "test_all_certificates_prove_or_refuse_identities_with_n"
+_DRAWN_ALL = _T + "test_all_certificates_match_the_reference_scan_on_drawn_identities"
+_AFFINE = _T + "test_affine_in_n_reads_the_degree_of_each_index_and_side"
 _CATALOG = _T + "test_holding_catalog_identities_with_n_are_certified_for_all_n"
 _DRAWN_ROWS = _T + "test_certified_verify_matches_the_reference_scan_on_drawn_specs"
 _SHIFTS = _T + "test_certificates_rest_on_relations_among_shifts"
@@ -53,35 +56,50 @@ _GROWTH = "tests/test_recurrence.py::test_term_lookup_grows_less_than_a_round_pa
 _SCAN_GROWTH = _T + "test_a_whole_scan_ends_its_prefix_less_than_a_round_past_its_largest_read"
 
 MUTANTS: tuple[Mutant, ...] = (
-    # the level certificate
-    Mutant(_IDENTITIES, "if least < 0 or any(", "if least < spec.n_eff or any(",
+    # the certificate read from the tree, for every (e, r) and n
+    Mutant(_IDENTITIES, "if min(p0, p1, p0 + rest, p1 + rest) < 0:\n            return None\n"
+           "        if n is not None:", "if n is not None:",
+           "the negative-index corner check dropped", (_WITH_N,)),
+    Mutant(_IDENTITIES, "if b or s not in (1, -1) or any(",
+           "if b or s not in (1, -1) or least < spec.n_eff or any(",
            "the recurrence required from n_eff: the windows may not read v(0)",
            (_LEVELS, _CATALOG)),
-    Mutant(_IDENTITIES, "forms[1].extend((0, x))", "forms[1].extend((x, 0))",
-           "the row r = 2^e read with the form of the rows below it", (_DRAWN_LEVELS,)),
-    Mutant(_IDENTITIES, "(p - s << e) + s * (i + k)", "(p - s << e) + s * i + k",
-           "sigma ignored in the window", (_LEVELS, _CATALOG)),
-    Mutant(_IDENTITIES, "shape[1:] not in ((1, 0, 0), (-1, 0, 0))",
-           "(shape[1], shape[3]) not in ((1, 0), (-1, 0))",
+    Mutant(_IDENTITIES, "if b or s not in (1, -1) or any(", "if s not in (1, -1) or any(",
+           "a value at (e, r) with a constant term in its index accepted", (_LEVELS,)),
+    Mutant(_IDENTITIES, "if shape is None or shape[2]:", "if shape is None:",
            "e outside a power of two accepted in an index", (_LEVELS,)),
-    Mutant(_IDENTITIES, "shape[1:] not in ((1, 0, 0), (-1, 0, 0))",
-           "(shape[1], shape[2]) not in ((1, 0), (-1, 0))",
-           "an index with a constant term accepted", (_LEVELS,)),
-    Mutant(_IDENTITIES, "rhs[:3] == (0, 0, 1) and rhs[3] >= 0", "rhs[2] and rhs[3] >= 0",
-           "2^(q*e + k) read as 2^(e + k)", (_LEVELS,)),
-    Mutant(_IDENTITIES, "BinOp):\n        return None\n    lhs, rhs = _form(",
-           "BinOp):\n        return {None: 0}\n    lhs, rhs = _form(",
-           "A/B outside the term indices read as 0", (_LEVELS,)),
-    Mutant(_IDENTITIES, 'if node.op == "*" and len(const) == 1:', 'if node.op == "*":',
-           "a product of two terms accepted", (_LEVELS,)),
-    Mutant(_IDENTITIES, 'if node.op in "+-":\n        sign', 'if node.op in "+-^":\n        sign',
-           "^ outside the term indices read like -", (_LEVELS,)),
     Mutant(_IDENTITIES, "for k in range(least, spec.n_eff)):",
            "for k in range(least + 1, spec.n_eff)):",
            "windows that read one index where the recurrence fails accepted",
            (_LEVELS, _DRAWN_LEVELS)),
-    Mutant(_IDENTITIES, "least, v = p - (s < 0), spec.init", "least, v = p, spec.init",
+    Mutant(_IDENTITIES, "v, least = spec.init, p - (s < 0)", "v, least = spec.init, p",
            "the least index of a window with s = -1 taken as p*2^e", (_LEVELS, _DRAWN_LEVELS)),
+    Mutant(_IDENTITIES, "rhs[:3] == (0, 0, 1) and not any(rhs[4:])", "rhs[2] and not any(rhs[4:])",
+           "2^(q*e + k) read as 2^(e + k)", (_LEVELS,)),
+    Mutant(_IDENTITIES, "if coeffs is None or (_shape(node.e_arg), _shape(node.r_arg)) != (\n"
+           "                (0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0)):", "if coeffs is None:",
+           "A(e, r)/B(e, r) read whatever their arguments", (_WITH_N, _DRAWN_ALL)),
+    Mutant(_IDENTITIES, "if atom and atom2 or entry and entry2:", "if entry and entry2:",
+           "a product of two values at (e, r) accepted", (_WITH_N, _LEVELS)),
+    Mutant(_IDENTITIES, "if atom and atom2 or entry and entry2:", "if atom and atom2:",
+           "a product of two terms with n accepted", (_AFFINE,)),
+    Mutant(_IDENTITIES, "return {(base < 0, None, None): base ** (exp[3] & 1)}",
+           "return {(False, None, None): base ** (exp[3] & 1)}",
+           "(0 - 1)^e read as a constant", (_CATALOG, _WITH_N)),
+    Mutant(_IDENTITIES, " or any(exp[4:]) or exp[3] < 0:", " or any(exp[4:]):",
+           "a sign with a negative exponent accepted", (_WITH_N,)),
+    Mutant(_IDENTITIES, "(atom[2] << e) + atom[3] * r", "(atom[2] << e) + r",
+           "s ignored in the windows of v(p*2^e + s*r)", (_LEVELS, _CATALOG)),
+    Mutant(_IDENTITIES, "at_row(atom, e, r + k)",
+           'at_row(atom, e, r + k * (atom is None or atom[0] == "v"))',
+           "the A/B window without its r + 1 entry", (_CATALOG, _WITH_N)),
+    Mutant(_IDENTITIES, "for form in forms for j in (0, 1)]", "for form in forms for j in (0,)]",
+           "the form of the row r = 2^e dropped", (_WITH_N, _DRAWN_LEVELS)),
+    Mutant(_IDENTITIES, "for u in basis:", "for u in basis[:1]:",
+           "U cut to its first basis vector", (_WITH_N,)),
+    Mutant(_IDENTITIES, "for n in range(n_min, start - lo):",
+           "for n in range(n_min, start - lo - 1):",
+           "the last instance below the shift windows' start left out", (_WITH_N,)),
     # the row certificate
     Mutant(_IDENTITIES, "const += x * eval_direct(self.specs[k], b)",
            "const += 0", "a term with n coefficient 0 left out of the constant",
