@@ -33,10 +33,7 @@ v(p*2^e + s*r), s = 1 or -1, A(e, r) and B(e, r), each possibly times
 shifts v(n + d), the identity is certified for every e, r and n at once by
 testing linear relations against the span of the sequences' windows (see
 `_span`), closed once over n and once over i = 2^e + r; then no level runs.
-Otherwise, when both sides are affine in the terms that mention n, each
-row (e, r) is certified for all n on its own (see `_Proof`): a certified
-row scans only its instances below the certificate's start, mostly just its
-first, and a refused one is scanned whole.  Verdicts, counts,
+Otherwise every instance of the grid is scanned.  Verdicts, counts,
 counterexamples and errors are the scan's either way.
 
 The catalog ships every identity this library asserts about the presets.
@@ -87,9 +84,9 @@ class Counterexample(NamedTuple):
 class Verdict:
     """`path` is "all" when an identity with n was certified for every
     (e, r, n) at once, "levels" when an identity without n was certified at
-    every level, "proof" when every row of the grid was certified for all n,
-    and "grid" otherwise; it takes no part in equality.  `scope`, which
-    follows from it, says which instances the verdict covers."""
+    every level, and "grid" when every instance of the grid was scanned; it
+    takes no part in equality.  `scope`, which follows from it, says which
+    instances the verdict covers."""
 
     holds: bool
     checked_count: int
@@ -99,7 +96,6 @@ class Verdict:
     @property
     def scope(self) -> str:
         return {"all": "all e ≥ 0, 0 ≤ r ≤ 2^e, n ≥ n_min",
-                "proof": "all n ≥ n_min",
                 "levels": "all e ≥ 0, 0 ≤ r ≤ 2^e"}.get(self.path, "n_min ≤ n ≤ N")
 
 
@@ -128,12 +124,8 @@ class Identity:
     # the AST is walked once per identity for each of these
     @cached_property
     def seq_names(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(node.seq for node in self._terms))
-
-    @cached_property
-    def _terms(self) -> tuple[Term, ...]:
-        return tuple(node for side in (self.lhs, self.rhs) for node in walk(side)
-                     if isinstance(node, Term))
+        return tuple(dict.fromkeys(node.seq for side in (self.lhs, self.rhs)
+                                   for node in walk(side) if isinstance(node, Term)))
 
     @cached_property
     def uses_coeffs(self) -> bool:
@@ -142,14 +134,6 @@ class Identity:
     @cached_property
     def uses_n(self) -> bool:
         return mentions(self.lhs, "n") or mentions(self.rhs, "n")
-
-    @cached_property
-    def affine_in_n(self) -> bool:
-        """Whether `verify` can certify its rows for all n: it mentions n,
-        only inside term indices of degree 1 in n, and each product of its
-        sides holds at most one such term."""
-        return self.uses_n and all(_affine_degree(side, "n") in (0, 1)
-                                   for side in (self.lhs, self.rhs))
 
 
 def parse_identity(text: str) -> Identity:
@@ -197,23 +181,6 @@ def _emit(node: Node, slot: dict[str, int], name: Callable[[Node, str], str]) ->
     return name(node, text)
 
 
-def _affine_degree(node: Node, var: str) -> int | None:
-    """The degree of a side in its terms that mention `var`, or of an index
-    in `var`; None unless every subtree that mentions `var` is `var`, +, -,
-    * or a term whose index has degree 1 in `var`."""
-    if not mentions(node, var):
-        return 0
-    if isinstance(node, Var):
-        return 1
-    if isinstance(node, Term):
-        return 1 if _affine_degree(node.arg, var) == 1 else None
-    if isinstance(node, BinOp) and node.op != "^":
-        lhs, rhs = _affine_degree(node.lhs, var), _affine_degree(node.rhs, var)
-        if lhs is not None and rhs is not None:
-            return lhs + rhs if node.op == "*" else max(lhs, rhs)
-    return None
-
-
 # the largest k of a power 2^(e + k) that `_shape` reads; a larger one is
 # left to the scan, which computes it where it meets it
 _MAX_K = 64
@@ -246,100 +213,15 @@ def _shape(node: Node) -> tuple[int, int, int, int, int, int] | None:
     return None
 
 
-# a row certificate computes at most this many windows beyond its row's n
-# range, and `_certified` windows of at most this width from at most this start
+# `_certified` reads windows of at most this width from at most this start
 _WINDOW = 64
-
-
-class _Proof:
-    """Certifies the rows of one `verify` for all n, one at a time, when
-    `_certified` refuses the identity, and counts the rows it refuses.  The
-    kernel calls it once per row, after the row's first
-    instance, as `proof(n, top, c, (k, a, b, x), ...)`: at every m, the row's
-    lhs - rhs is c + sum of x*v_k(a*(m - n) + b), one tuple per term that
-    mentions n, read from sequence slot k.  A term with a = 0 reads v_k(b),
-    which the row's first instance read, at every m, so it joins c.  With
-    a = 2^j and q, p = divmod(b - a*n, a), Reznick's relation writes each term as
-    A(j, p)*v_k(m + q) + B(j, p)*v_k(m + q + 1) once m + q >= n_eff, so
-    lhs - rhs is (y, c).w(m + lo), where w(i) = (v_k(i + d))_(k, 0<=d<=J) + (1,)
-    and [lo, lo + J] holds every such shift.  It vanishes for all
-    m >= N' - lo if and only if (y, c) is orthogonal to the span U of w(i),
-    i >= N', which `_span` finds from windows of the sequences themselves
-    (from N' >= n_eff on, each w(2i + d) is one linear map of w(i)),
-    each value computed once per (J, N') by `eval_direct`.  It returns the
-    last n the row must still scan: just below N' - lo for a certified row,
-    `top` for a refused one."""
-
-    def __init__(self, identity: Identity):
-        slot = _slots(identity)
-        used = sorted({slot[t.seq] for t in identity._terms if mentions(t, "n")})
-        self.slots = {k: i for i, k in enumerate(used)}  # slot -> its block in a window
-        self.specs = [spec for _, spec in identity.bindings]
-        specs = {self.specs[k] for k in used}
-        self.n_eff = max(spec.n_eff for spec in specs)
-        self.spec = specs.pop() if len(specs) == 1 else None  # then A/B come from a table
-        self.table: CoeffTable | None = None
-        self.bases: dict[tuple[int, int], list[list[int]]] = {}
-        self.refused = 0
-
-    def level(self, e: int, table: CoeffTable | None) -> None:
-        """Read A/B at level e through `table`, the level's, if it is the
-        one spec's, or through a table of the same level."""
-        if self.spec is not None:
-            self.table = table if table and table.spec == self.spec else coeff_table(self.spec, e)
-
-    def __call__(self, n: int, top: int, const: int, *terms: tuple[int, int, int, int]) -> int:
-        table, slots, reads, shifts = self.table, self.slots, [], []
-        for k, a, b, x in terms:
-            if a == 1:  # A(0, 0) = 1, B(0, 0) = 0
-                q, u, v = b - n, x, 0
-            elif a <= 0 or a & (a - 1):
-                if a:
-                    return self.refuse(top)
-                const += x * eval_direct(self.specs[k], b)
-                continue
-            else:
-                q, p = divmod(b - a * n, a)
-                j = a.bit_length() - 1
-                if table and j <= table.e_max:
-                    u, v = x * table.A[j][p], x * table.B[j][p]
-                else:
-                    u, v = coeff_at(self.specs[k], j, p)
-                    u, v = x * u, x * v
-            reads.append((slots[k], q, u, v))
-            shifts.append(q)
-        shifts = shifts or [0]  # every term had a = 0
-        lo = min(shifts)
-        width = max(shifts) - lo + 1
-        start = max(self.n_eff, n + lo)
-        # a row whose certificate would start past its grid, or cost more
-        # windows than its scan, is scanned
-        if start - lo > top + 1 or start > top - n + _WINDOW:
-            return self.refuse(top)
-        form = [0] * (len(slots) * (width + 1))
-        form.append(const)
-        for at, q, u, v in reads:
-            at = at * (width + 1) + q - lo
-            form[at] += u
-            form[at + 1] += v
-        if any(form) and any(sum(map(mul, form, row)) for row in self.basis(width, start)):
-            return self.refuse(top)
-        return start - lo - 1
-
-    def refuse(self, top: int) -> int:
-        self.refused += 1
-        return top
-
-    def basis(self, width: int, start: int) -> list[list[int]]:
-        if (width, start) not in self.bases:
-            self.bases[width, start] = _shifts([self.specs[k] for k in self.slots], width, start)
-        return self.bases[width, start]
 
 
 def _shifts(specs: list[SternLikeSpec], width: int, start: int) -> list[list[int]]:
     """A basis of the span U of the windows w(i) = (v(i + d))_(v, 0<=d<=width)
     + (1,), one block per sequence v of `specs`, from i = `start` >= every
-    n_eff on (see `_span`)."""
+    n_eff on (see `_span`), where the recurrence makes each w(2i + d) one
+    linear map of w(i)."""
     value = cache(eval_direct)
     return _span(start, lambda i: [
         *(value(spec, i + d) for spec in specs for d in range(width + 1)), 1])
@@ -565,29 +447,14 @@ def _with_n(*roots: Node) -> set[int]:
     return found
 
 
-def _at_next(node: Node, with_n: set[int]) -> Node:
-    """An index with n replaced by n + 1, which keeps each subtree free of n;
-    `with_n` holds the ids of the subtrees that mention n (`_with_n`) and
-    gains those built here."""
-    if id(node) not in with_n:
-        return node
-    if isinstance(node, Var):
-        node = BinOp("+", node, Lit(1))
-    else:
-        node = BinOp(node.op, _at_next(node.lhs, with_n), _at_next(node.rhs, with_n))
-    with_n.add(id(node))
-    return node
-
-
-def _bind(identity: Identity, e: int, limit: int, carried: dict[str, object] | None = None,
-          certify: bool = False) -> dict[str, object]:
+def _bind(identity: Identity, e: int, limit: int,
+          carried: dict[str, object] | None = None) -> dict[str, object]:
     """The names compiled code reads at level e: `_ip`; per bound sequence
     k, its prefix `_v<k>`, the one in `carried` names if given, and lookup
-    `_f<k>`, bounded by `limit`; when the identity has A(e, r)/B(e, r),
+    `_f<k>`, bounded by `limit`; and, when the identity has A(e, r)/B(e, r),
     readers `_cA`/`_cB` of the coefficient table of its one bound sequence,
-    rows up to e, `coeff_at` (which validates) beyond; and, if `certify`,
-    the row certificate `_proof` in `carried` names, set to level e.
-    Binding errors raise here."""
+    rows up to e, `coeff_at` (which validates) beyond.  Binding errors raise
+    here."""
     bound = dict(identity.bindings)
     missing = [seq for seq in identity.seq_names if seq not in bound]
     if missing:
@@ -596,7 +463,6 @@ def _bind(identity: Identity, e: int, limit: int, carried: dict[str, object] | N
     for k, (seq, spec) in enumerate(identity.bindings):
         names[f"_v{k}"], names[f"_f{k}"] = _term_lookup(
             spec, limit, seq, carried and carried[f"_v{k}"])
-    table = None
     if identity.uses_coeffs:
         specs = set(bound.values())
         if len(specs) != 1:
@@ -605,15 +471,7 @@ def _bind(identity: Identity, e: int, limit: int, carried: dict[str, object] | N
         table = coeff_table(specs.pop(), max(e, 0))
         names["_cA"] = _coeff_reader(table, 0)
         names["_cB"] = _coeff_reader(table, 1)
-    if certify:
-        proof = carried["_proof"]
-        proof.level(e, table)
-        names["_proof"] = proof
     return names
-
-
-def _slots(identity: Identity) -> dict[str, int]:
-    return {seq: k for k, (seq, _) in enumerate(identity.bindings)}
 
 
 def _coeff_reader(table: CoeffTable, which: int) -> Callable[[int, int], int]:
@@ -643,14 +501,8 @@ def check_instance(identity: Identity, e: int, r: int, n: int) -> tuple[int, int
 # pass over n per row (e, r); without n, n_lo = n_hi.  Each row runs its first
 # instance inline, in the text of `_instance`, which names each subtree that
 # does not mention n, as `(_h<k> := ...)`, where it first evaluates it and
-# reads the name after; then one plain loop up to `_top` reads those names.
+# reads the name after; then one plain loop up to n_hi reads those names.
 # So the kernel computes nothing, raises nothing, ahead of the scan.
-#
-# With `_proof` bound (see `_Proof`), a row then computes its certificate,
-# which proves every n from `_top + 1` on; the scan stops at `_top`.  Those
-# instances could neither fail nor raise: their values free of n were
-# computed, and the certificate keeps their indices in range.  A refused row,
-# and every row without `_proof`, scans to n_hi.
 _KERNEL = """\
 def _make({params}):
     def _instance(e, r, n):
@@ -663,9 +515,7 @@ def _make({params}):
             n = n_lo
             if (lhs := {lhs}) != (rhs := {rhs}):
                 return r, n, lhs, rhs
-            n += 1
-{proof}
-            for n in range(n, _top + 1):
+            for n in range(n_lo + 1, n_hi + 1):
                 if (lhs := {lhs_loop}) != (rhs := {rhs_loop}):
                     return r, n, lhs, rhs
         return None
@@ -679,13 +529,9 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     `(_instance, _level)` bound to one level's `names` (see `_bind`);
     it is the same text at every level.  Each side is emitted twice: for a
     row's first instance, naming each subtree free of n where it first
-    occurs, and for the row's loop over n, reading those names.  When `names`
-    hold `_proof`, the sides must be affine in the terms that mention n: the
-    certificate emits them once more, with each such term `_t<t>` set to 0
-    and 1, and reads each one's index `_b<t>` at the next n and its step
-    `_a<t>`."""
-    slot = _slots(identity)
-    sizes = [f"_m{k} = len(_v{k})" for k in slot.values()]
+    occurs, and for the row's loop over n, reading those names."""
+    slot = {seq: k for k, (seq, _) in enumerate(identity.bindings)}
+    sizes = "\n".join(f"        _m{k} = len(_v{k})" for k in slot.values())
     hoisted: dict[Node, str] = {}
     with_n = _with_n(identity.lhs, identity.rhs)
 
@@ -700,33 +546,10 @@ def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     def hoist(node: Node, text: str) -> str:
         return text if id(node) in with_n else hoisted[node]
 
-    def block(lines: list[str], indent: int) -> str:
-        return "\n".join(" " * indent + line for line in lines)
-
     sides = {side: _emit(getattr(identity, side), slot, first) for side in ("lhs", "rhs")}
     for side in ("lhs", "rhs"):
         sides[f"{side}_loop"] = _emit(getattr(identity, side), slot, hoist)
-    proof = ["_top = n_hi"]
-    if "_proof" in params:
-        terms = {term: t for t, term in enumerate(dict.fromkeys(
-            term for term in identity._terms if id(term) in with_n))}
-
-        def read(node: Node, text: str) -> str:
-            if isinstance(node, Term) and id(node) in with_n:
-                return f"_t{terms[node]}"
-            return hoist(node, text)
-
-        lhs, rhs = _emit(identity.lhs, slot, read), _emit(identity.rhs, slot, read)
-        # lhs - rhs is _c plus each `_t<t>` times `_x<t>`
-        proof = [" = ".join([*(f"_t{t}" for t in terms.values()), "0"]), f"_c = {lhs} - {rhs}"]
-        for term, t in terms.items():
-            proof += [f"_b{t} = {_emit(term.arg, slot, hoist)}",
-                      f"_a{t} = {_emit(_at_next(term.arg, with_n), slot, hoist)} - _b{t}",
-                      f"_t{t} = 1", f"_x{t} = {lhs} - {rhs} - _c", f"_t{t} = 0"]
-        reads = "".join(f", ({slot[term.seq]}, _a{t}, _b{t}, _x{t})" for term, t in terms.items())
-        proof.append(f"_top = _proof(n, n_hi, _c{reads})")
-    return _KERNEL.format(
-        params=", ".join(params), **sides, sizes=block(sizes, 8), proof=block(proof, 12))
+    return _KERNEL.format(params=", ".join(params), **sides, sizes=sizes)
 
 
 def _load(source: str) -> Callable[..., tuple[Callable, Callable]]:
@@ -750,12 +573,11 @@ def verify(identity: Identity, e_max: int, n_max: int, jobs: int = 1) -> Verdict
 
     An identity that `_certified` proves from its tree, for every (e, r, n)
     at once, runs no level, loads no kernel and grows no prefix past its
-    binding's.  Otherwise each row that the row certificate proves for all
-    n, see `_Proof`, runs only its instances below the certificate's start,
-    and a refused one is scanned whole.  Verdict, count, counterexample and
-    error are the scan's; `path` is "all" when the identity with n was
-    certified from its tree, "levels" when the identity without n was,
-    "proof" when every row was certified, and `scope` says what it covers.
+    binding's; every other identity has each instance of its grid scanned.
+    Verdict, count, counterexample and error are the scan's; `path` is "all"
+    when the identity with n was certified from its tree, "levels" when the
+    identity without n was, "grid" when the grid was scanned, and `scope`
+    says what it covers.
     """
     return _verify(identity, e_max, n_max, jobs, certify=True)
 
@@ -775,18 +597,13 @@ def _verify(identity: Identity, e_max: int, n_max: int, jobs: int, certify: bool
     count = ((2 << e_max) + e_max) * (n_hi - n_lo + 1)
     if certify and _certified(identity):
         return Verdict(True, count, path="all" if identity.uses_n else "levels")
-    rows = certify and identity.affine_in_n
-    if rows:
-        names["_proof"] = _Proof(identity)
     make = _load(_kernel_source(identity, tuple(names)))
     for e in range(e_max + 1):
         # every catalog index stays below 8x the level's grid (5*2^e*n + r needs 5x)
-        names = _bind(identity, e, 8 * ((1 << e) + 1) * (n_hi - n_lo + 1), names, rows)
+        names = _bind(identity, e, 8 * ((1 << e) + 1) * (n_hi - n_lo + 1), names)
         hit = make(**names)[1](e, 1 << e, n_lo, n_hi)
         if hit is not None:
             return Verdict(False, count, Counterexample(e, *hit))
-    if rows and not names["_proof"].refused:
-        return Verdict(True, count, path="proof")
     return Verdict(True, count)
 
 

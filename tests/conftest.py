@@ -26,18 +26,9 @@ class FakeResponse:
 
 
 def scan_only(identity, e_max, n_max):
-    """`verify` without certificates: every instance of the grid is scanned."""
+    """`verify` without the certificate: every instance of the grid is scanned."""
     from sternlike.identities import _verify
     return _verify(identity, e_max, n_max, 1, certify=False)
-
-
-def rows_only(identity, e_max, n_max):
-    """`verify` without the certificate read from the identity's tree: each
-    row is certified for all n on its own, or scanned."""
-    from sternlike import identities
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(identities, "_certified", lambda identity: False)
-        return identities.verify(identity, e_max, n_max)
 
 
 @pytest.fixture

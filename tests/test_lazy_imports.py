@@ -61,15 +61,15 @@ def test_cli_verify_with_jobs_starts_no_process():
 
 
 def test_verify_certifies_in_integers_alone():
-    # the certificates' spans are found fraction-free, without Fraction or
-    # Decimal: coons's from its tree, and, for a product of two terms free of
-    # n, which the tree's reading refuses, each row's
+    # the certificate's spans are found fraction-free, without Fraction or
+    # Decimal: coons's over one sequence, and one over two sequences, whose
+    # shift windows hold a block per sequence
     code = ("import sternlike\nfrom sternlike.identities import bind_presets\n"
             "v = sternlike.verify(sternlike.catalog_entry('coons'), 4, 16)\n"
             "w = sternlike.verify(bind_presets(sternlike.parse_identity(\n"
-            "    's(r)*s(r)*s(2^e*n + r) == s(r)*s(r)*(s(r)*s(n + 1) + s(2^e - r)*s(n))')), 4, 16)\n"
+            "    's(2*n) - s(n) + t(2*n) + t(n) == 0')), 4, 16)\n"
             "print(v.path, w.path)")
-    assert _modules_loaded_after(code, ("fractions", "decimal")) == ["all", "proof"]
+    assert _modules_loaded_after(code, ("fractions", "decimal")) == ["all", "all"]
 
 
 def test_star_import_binds_every_exported_name():

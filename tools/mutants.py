@@ -1,10 +1,10 @@
-"""Mutation check of the certificates in `sternlike.identities` and of the
-prefix bound in `sternlike.recurrence`.
+"""Mutation check of the certificate and the scan in `sternlike.identities`
+and of the prefix bound in `sternlike.recurrence`.
 
 Each mutant is one small edit of the source, the kind of slip that would let
-a certificate claim "holds for all n" or "for all e" when it does not, or
-refuse what it should prove, or let a prefix grow a round or more past the
-largest index read.  The check applies each mutant alone to a copy
+the certificate claim "holds for all n" or "for all e" when it does not, or
+refuse what it should prove, let the scan skip an instance, or let a prefix
+grow a round or more past the largest index read.  The check applies each mutant alone to a copy
 of the repository and runs only the tests listed for it; a mutant that those
 tests do not kill survives.
 
@@ -45,13 +45,11 @@ _LEVELS = _T + "test_levels_certificates_prove_or_refuse_identities_without_n"
 _DRAWN_LEVELS = _T + "test_level_certificates_match_the_reference_scan"
 _WITH_N = _T + "test_all_certificates_prove_or_refuse_identities_with_n"
 _DRAWN_ALL = _T + "test_all_certificates_match_the_reference_scan_on_drawn_identities"
-_AFFINE = _T + "test_affine_in_n_reads_the_degree_of_each_index_and_side"
+_SHAPES = _T + "test_the_shape_of_each_index_and_side_with_n_decides_the_path"
 _CATALOG = _T + "test_holding_catalog_identities_with_n_are_certified_for_all_n"
-_DRAWN_ROWS = _T + "test_certified_verify_matches_the_reference_scan_on_drawn_specs"
-_SHIFTS = _T + "test_certificates_rest_on_relations_among_shifts"
-_REFUSED = _T + "test_a_refused_row_is_followed_by_a_counterexample"
 _BASIS = _T + "test_the_window_basis_spans_the_windows_from_its_start"
-_ZERO = _T + "test_a_term_with_n_coefficient_zero_joins_the_rows_constant"
+_FIRST_EVENT = _T + "test_verify_is_the_first_event_of_the_lexicographic_scan"
+_PATHS = _T + "test_verdicts_compare_without_path_and_scope"
 _GROWTH = "tests/test_recurrence.py::test_term_lookup_grows_less_than_a_round_past_its_largest_read"
 _SCAN_GROWTH = _T + "test_a_whole_scan_ends_its_prefix_less_than_a_round_past_its_largest_read"
 
@@ -82,7 +80,7 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(_IDENTITIES, "if atom and atom2 or entry and entry2:", "if entry and entry2:",
            "a product of two values at (e, r) accepted", (_WITH_N, _LEVELS)),
     Mutant(_IDENTITIES, "if atom and atom2 or entry and entry2:", "if atom and atom2:",
-           "a product of two terms with n accepted", (_AFFINE,)),
+           "a product of two terms with n accepted", (_SHAPES,)),
     Mutant(_IDENTITIES, "return {(base < 0, None, None): base ** (exp[3] & 1)}",
            "return {(False, None, None): base ** (exp[3] & 1)}",
            "(0 - 1)^e read as a constant", (_CATALOG, _WITH_N)),
@@ -100,44 +98,24 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(_IDENTITIES, "for n in range(n_min, start - lo):",
            "for n in range(n_min, start - lo - 1):",
            "the last instance below the shift windows' start left out", (_WITH_N,)),
-    # the row certificate
-    Mutant(_IDENTITIES, "const += x * eval_direct(self.specs[k], b)",
-           "const += 0", "a term with n coefficient 0 left out of the constant",
-           (_ZERO, _DRAWN_ROWS)),
-    Mutant(_IDENTITIES, "        form.append(const)\n        for at, q, u, v in reads:",
-           "        form.append(0)\n        for at, q, u, v in reads:",
-           "the constant dropped from the row's vector", (_SHIFTS, _CATALOG)),
-    Mutant(_IDENTITIES, "elif a <= 0 or a & (a - 1):", "elif a <= 0:",
-           "an n coefficient that is not a power of two accepted",
-           (_T + "test_rows_whose_n_coefficient_is_not_a_power_of_two_are_scanned",)),
-    Mutant(_IDENTITIES, "if start - lo > top + 1 or start > top - n + _WINDOW:",
-           "if start > top - n + _WINDOW:",
-           "a certificate that starts past its row's grid accepted", (_REFUSED, _DRAWN_ROWS)),
-    Mutant(_IDENTITIES, "return start - lo - 1", "return start - lo",
-           "the certified start one too late", (_CATALOG,)),
-    Mutant(_IDENTITIES, "return start - lo - 1", "return start - lo - 2",
-           "the certified start one too early", (_REFUSED, _DRAWN_ROWS)),
+    # the shift windows and the closure the certificate reads them with
     Mutant(_IDENTITIES, "value(spec, i + d) for spec in specs",
            "value(spec, i + d + 1) for spec in specs",
-           "the row windows shifted by one", (_BASIS,)),
+           "the shift windows shifted by one", (_BASIS,)),
     Mutant(_IDENTITIES, "for spec in specs for d in range(width + 1)), 1])",
            "for spec in specs for d in range(width + 1)), 0])",
-           "the row window's constant entry at 0", (_BASIS,)),
-    # the kernel's proof block, which the row certificate reads
-    Mutant(_IDENTITIES, 'f"_t{t} = 1", f"_x{t} = {lhs} - {rhs} - _c", f"_t{t} = 0"]',
-           'f"_t{t} = 1", f"_x{t} = {lhs} - {rhs} - _c"]',
-           "one _t left at 1", (_CATALOG, _DRAWN_ROWS)),
-    Mutant(_IDENTITIES, 'f"_x{t} = {lhs} - {rhs} - _c"', 'f"_x{t} = {lhs} - {rhs}"',
-           "_x without - _c", (_SHIFTS, _DRAWN_ROWS)),
-    Mutant(_IDENTITIES, 'f"_top = _proof(n, n_hi, _c{reads})"',
-           'f"_top = _proof(n, n_hi, 0{reads})"', "_c passed as 0", (_SHIFTS, _DRAWN_ROWS)),
-    # the closure both certificates use
+           "the shift window's constant entry at 0", (_BASIS,)),
     Mutant(_IDENTITIES, "todo += [2 * i, 2 * i + 1]", "todo += [2 * i]",
            "_span queues only 2i", (_BASIS,)),
     Mutant(_IDENTITIES, "todo += [2 * i, 2 * i + 1]", "todo += [2 * i + 1]",
            "_span queues only 2i + 1", (_BASIS,)),
     Mutant(_IDENTITIES, "todo = list(range(start, 2 * start))",
            "todo = list(range(start + 1, 2 * start))", "_span seeded from start + 1", (_BASIS,)),
+    # the scan
+    Mutant(_IDENTITIES, "if certify and _certified(identity):", "if _certified(identity):",
+           "the scan that tests compare against certified as well", (_PATHS,)),
+    Mutant(_IDENTITIES, "for n in range(n_lo + 1, n_hi + 1):", "for n in range(n_lo + 1, n_hi):",
+           "each row's scan stopped one n short", (_FIRST_EVENT,)),
     # the prefix bound
     Mutant(_RECURRENCE, "min(max(n + 1, 2 * len(values)), n + _ROUND, limit)",
            "min(max(n + 1, 2 * len(values)), limit)",
