@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
-from dataclasses import replace
 
 from .errors import BFileError, SternlikeError
 from .recurrence import (PRESET_NAMES, SternLikeSpec, eval_direct, load_spec_file,
@@ -79,7 +77,7 @@ def _cmd_verify(args) -> int:
         identity = identities.parse_identity(args.expr)
         identity = identities.bind_presets(identity)
         if args.n_min is not None:
-            identity = replace(identity, n_min=args.n_min)
+            identity = identity.replace(n_min=args.n_min)
         label = args.expr
     else:
         identity = identities.catalog_entry(args.name)
@@ -255,9 +253,18 @@ def _main(argv: list[str] | None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # a crash must not read as exit 1; free its frames' locals (a huge prefix) first
-        traceback.clear_frames(exc.__traceback__)
-        traceback.print_exc()
+        # a crash must not read as exit 1: free its frames' locals (a huge
+        # prefix's temporaries) first, as traceback.clear_frames does, then
+        # print the traceback with the interpreter's own printer, which
+        # writes what traceback.print_exc does and needs no module loaded
+        tb = exc.__traceback__
+        while tb is not None:
+            try:
+                tb.tb_frame.clear()
+            except RuntimeError:  # a frame that still runs: this one
+                pass
+            tb = tb.tb_next
+        sys.__excepthook__(type(exc), exc, exc.__traceback__)
         return 3
 
 

@@ -12,8 +12,8 @@ the same tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from ._frozen import Frozen, set_field
 from .errors import ParseError
 
 __all__ = [
@@ -26,34 +26,44 @@ __all__ = [
 # AST
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: int
+class Lit(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # a key of OPS; for "^", lhs is the base and rhs the exponent
-    lhs: "Node"
-    rhs: "Node"
+class BinOp(Frozen):
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: Node, rhs: Node):
+        set_field(self, "op", op)  # a key of OPS; for "^", lhs is the base and rhs the exponent
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Term:
-    seq: str
-    arg: "Node"
+class Term(Frozen):
+    __slots__ = ("seq", "arg")
+
+    def __init__(self, seq: str, arg: Node):
+        set_field(self, "seq", seq)
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Coeff:
-    kind: str  # "A" or "B"
-    e_arg: "Node"
-    r_arg: "Node"
+class Coeff(Frozen):
+    __slots__ = ("kind", "e_arg", "r_arg")
+
+    def __init__(self, kind: str, e_arg: Node, r_arg: Node):
+        set_field(self, "kind", kind)  # "A" or "B"
+        set_field(self, "e_arg", e_arg)
+        set_field(self, "r_arg", r_arg)
 
 
 Node = Lit | Var | BinOp | Term | Coeff
@@ -74,12 +84,18 @@ OPS: dict[str, tuple[int, int, int, str]] = {
 
 
 def walk(node: Node):
-    """Every node of the tree under `node`, itself first, in preorder."""
-    yield node
-    for attr in ("lhs", "rhs", "arg", "e_arg", "r_arg"):
-        child = getattr(node, attr, None)
-        if child is not None:
-            yield from walk(child)
+    """Every node of the tree under `node`, itself first, in preorder; from a
+    stack, since nested generators would pass each node up every level."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, BinOp):  # children pushed last first
+            stack += node.rhs, node.lhs
+        elif isinstance(node, Term):
+            stack.append(node.arg)
+        elif isinstance(node, Coeff):
+            stack += node.r_arg, node.e_arg
 
 
 def mentions(node: Node, var: str) -> bool:
@@ -97,29 +113,19 @@ def mentions(node: Node, var: str) -> bool:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(==)|([+\-*^(),]))")
+# a number, a name, "==", an operator or punctuation, or (last) any other
+# character, which is an error
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(==)|([+\-*^(),])|(\S))")
+_TOKEN_KINDS = (None, "int", "name", "eq", "op")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            tail = text[pos:].strip()
-            if not tail:
-                break
-            raise ParseError(f"unexpected character {tail[0]!r}", pos + text[pos:].index(tail[0]))
-        start = match.start(match.lastindex)
-        if match.group(1):
-            tokens.append(("int", match.group(1), start))
-        elif match.group(2):
-            tokens.append(("name", match.group(2), start))
-        elif match.group(3):
-            tokens.append(("eq", "==", start))
-        else:
-            tokens.append(("op", match.group(4), start))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastindex
+        if group == 5:
+            raise ParseError(f"unexpected character {match[5]!r}", match.start(5))
+        tokens.append((_TOKEN_KINDS[group], match[group], match.start(group)))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -158,19 +164,22 @@ class _Parser:
             raise ParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
+    # A token's value alone tells an operator or punctuation apart: no name,
+    # number or "==" has the value "-", "(" or ",", nor is a key of OPS.
     def parse_expr(self, prec: int = 1) -> Node:
         """Operators of precedence >= prec.  One whose lhs context is its own
         precedence chains, each link one depth level; "^" joins two atoms."""
         if prec == _ATOM:
             return self.parse_atom()
         outer = self.deeper() if prec == 1 else self.depth
-        if prec == 1 and self.peek()[:2] == ("op", "-"):
-            self.next()
+        tokens = self.tokens
+        if prec == 1 and tokens[self.index][1] == "-":
+            self.index += 1
             node: Node = BinOp("-", Lit(0), self.parse_expr(2))
         else:
             node = self.parse_expr(prec + 1)
-        while self.peek()[0] == "op" and OPS.get(self.peek()[1], (0,))[0] == prec:
-            op = self.next()[1]
+        while (op := tokens[self.index][1]) in OPS and OPS[op][0] == prec:
+            self.index += 1
             _, lhs_ctx, rhs_ctx, _ = OPS[op]
             chains = lhs_ctx == prec
             if chains:
@@ -194,11 +203,11 @@ class _Parser:
             self.expect("op", ")")
             return inner
         if kind == "name":
-            if self.peek()[:2] == ("op", "("):
-                self.next()
+            if self.peek()[1] == "(":
+                self.index += 1
                 first = self.parse_expr()
-                if self.peek()[:2] == ("op", ","):
-                    self.next()
+                if self.peek()[1] == ",":
+                    self.index += 1
                     second = self.parse_expr()
                     self.expect("op", ")")
                     if value not in COEFF_NAMES:

@@ -45,12 +45,12 @@ discrepancy report runs both and says which survive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from math import gcd
 from operator import mul
 from typing import Callable, NamedTuple
 
+from ._frozen import Frozen, set_field
 from .errors import DomainError, RangeError, UnknownIdentityError
 from .expr import (COEFF_NAMES, OPS, VARIABLES, BinOp, Coeff, Lit, Node, Term, Var, mentions,
                    parse_equation, render, walk)
@@ -80,18 +80,22 @@ class Counterexample(NamedTuple):
     rhs: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """`path` is "all" when an identity with n was certified for every
     (e, r, n) at once, "levels" when an identity without n was certified at
     every level, and "grid" when every instance of the grid was scanned; it
-    takes no part in equality.  `scope`, which follows from it, says which
-    instances the verdict covers."""
+    takes no part in equality or the hash.  `scope`, which follows from it,
+    says which instances the verdict covers."""
 
-    holds: bool
-    checked_count: int
-    counterexample: Counterexample | None = None
-    path: str = field(default="grid", compare=False)
+    __slots__ = ("holds", "checked_count", "counterexample", "path")
+    _uncompared = ("path",)
+
+    def __init__(self, holds: bool, checked_count: int,
+                 counterexample: Counterexample | None = None, path: str = "grid"):
+        set_field(self, "holds", holds)
+        set_field(self, "checked_count", checked_count)
+        set_field(self, "counterexample", counterexample)
+        set_field(self, "path", path)
 
     @property
     def scope(self) -> str:
@@ -99,8 +103,7 @@ class Verdict:
                 "levels": "all e ≥ 0, 0 ≤ r ≤ 2^e"}.get(self.path, "n_min ≤ n ≤ N")
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Frozen):
     """A parsed identity plus its quantifier ranges and sequence bindings.
 
     `r` always ranges over [0, 2^e].  `n` ranges over [n_min, N] when the
@@ -109,13 +112,26 @@ class Identity:
     the identity's sequence names.
     """
 
-    name: str
-    lhs: Node
-    rhs: Node
-    bindings: tuple[tuple[str, SternLikeSpec], ...] = ()
-    n_min: int = 0
-    family: str = ""
-    variant: str = ""
+    __slots__ = ("name", "lhs", "rhs", "bindings", "n_min", "family", "variant", "__dict__")
+
+    def __init__(self, name: str, lhs: Node, rhs: Node,
+                 bindings: tuple[tuple[str, SternLikeSpec], ...] = (), n_min: int = 0,
+                 family: str = "", variant: str = ""):
+        set_field(self, "name", name)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "bindings", bindings)
+        set_field(self, "n_min", n_min)
+        set_field(self, "family", family)
+        set_field(self, "variant", variant)
+
+    def replace(self, **changes) -> Identity:
+        """A copy with the named fields changed; it keeps what the properties
+        below read from the tree when the tree is unchanged."""
+        copy = Identity(**{name: getattr(self, name) for name in self._fields} | changes)
+        if "lhs" not in changes and "rhs" not in changes:
+            copy.__dict__.update(self.__dict__)
+        return copy
 
     @property
     def text(self) -> str:
@@ -147,7 +163,7 @@ def bind_presets(identity: Identity, **overrides: SternLikeSpec) -> Identity:
     for seq in identity.seq_names:
         if seq not in pairs:
             pairs[seq] = preset(seq)
-    return replace(identity, bindings=tuple(sorted(pairs.items())))
+    return identity.replace(bindings=tuple(sorted(pairs.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -689,42 +705,38 @@ def generic_corollary(spec: SternLikeSpec, name: str | None = None) -> Identity:
     text = (f"A(e, r)*{symbol}(2*n + 3) + B(e, r)*{symbol}(2*n + 5)"
             f" == {const(spec.c)}*{symbol}(2^e*(n + 2) + r)"
             f" + {const(spec.b)}*{symbol}(2^e*(n + 1) + r)")
-    identity = parse_identity(text)
-    return replace(identity,
-                   name=name or f"generic_cor_{spec.name or 'custom'}",
-                   bindings=((symbol, spec),),
-                   n_min=spec.n0,
-                   family="generic_cor")
+    lhs, rhs = parse_equation(text)
+    return Identity(name or f"generic_cor_{spec.name or 'custom'}", lhs, rhs,
+                    ((symbol, spec),), spec.n0, "generic_cor")
+
+
+# every catalog name, in catalog order
+_CATALOG_NAMES = (*(source[0] for source in _CATALOG_SOURCES),
+                  *(f"generic_cor_{name}" for name in PRESET_NAMES))
 
 
 @cache
 def catalog() -> tuple[Identity, ...]:
-    """All named, fully bound identities."""
-    entries = []
-    for name, family, variant, n_min, text in _CATALOG_SOURCES:
-        identity = parse_identity(text)
-        identity = bind_presets(identity)
-        entries.append(replace(
-            identity,
-            name=name,
-            n_min=n_min,
-            family=family,
-            variant=variant,
-        ))
-    for preset_name in PRESET_NAMES:
-        entries.append(generic_corollary(preset(preset_name),
-                                         name=f"generic_cor_{preset_name}"))
-    return tuple(entries)
+    """All named, fully bound identities: each row of `_CATALOG_SOURCES`,
+    then `generic_cor_<preset>` for every preset."""
+    return tuple(map(catalog_entry, _CATALOG_NAMES))
 
 
 def catalog_names() -> tuple[str, ...]:
-    return tuple(identity.name for identity in catalog())
+    return _CATALOG_NAMES
 
 
+@cache
 def catalog_entry(name: str) -> Identity:
-    for identity in catalog():
-        if identity.name == name:
-            return identity
+    """The catalog entry `name`, the one `catalog()` holds; it parses that
+    entry alone, once."""
+    for source_name, family, variant, n_min, text in _CATALOG_SOURCES:
+        if source_name == name:
+            return bind_presets(Identity(name, *parse_equation(text), n_min=n_min,
+                                         family=family, variant=variant))
+    preset_name = name.removeprefix("generic_cor_")
+    if preset_name != name and preset_name in PRESET_NAMES:
+        return generic_corollary(preset(preset_name))
     raise UnknownIdentityError(
         f"unknown identity {name!r}; see catalog_names() or the `catalog` subcommand")
 
@@ -737,13 +749,15 @@ VARIANT_FAMILIES: tuple[str, ...] = tuple(dict.fromkeys(
     family for _, family, variant, _, _ in _CATALOG_SOURCES if variant))
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(Frozen):
     """Verdicts for every printed/derived variant pair, side by side."""
 
-    e_max: int
-    n_max: int
-    rows: tuple[tuple[Identity, Verdict], ...]
+    __slots__ = ("e_max", "n_max", "rows")
+
+    def __init__(self, e_max: int, n_max: int, rows: tuple[tuple[Identity, Verdict], ...]):
+        set_field(self, "e_max", e_max)
+        set_field(self, "n_max", n_max)
+        set_field(self, "rows", rows)
 
     @property
     def derived_all_hold(self) -> bool:

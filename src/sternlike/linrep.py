@@ -15,18 +15,17 @@ Equivalently, the pair state (v(k), v(k+1)) is advanced along the binary
 digits of the index by two fixed 2x2 integer matrices, which exhibits the
 sequence as 2-regular: v(n) is the first coordinate of the product of n's
 digit matrices applied to a base state.  `LinearRepresentation.evaluate`
-replays the digits on the state one at a time for indices of up to a few
-thousand bits.  Above that the state's integers grow with every step, which
-makes the replay quadratic, so it multiplies the digit matrices in a
-balanced product tree instead (Bernstein, "Fast multiplication and its
-applications", 2008): the same exact product from a few large, Karatsuba-
-sized multiplications.
+and `eval_fast` share one routine, `_evaluate`, which replays the digits on
+the state one at a time for indices of up to a few thousand bits.  Above
+that the state's integers grow with every step, which makes the replay
+quadratic, so it multiplies the digit matrices in a balanced product tree
+instead (Bernstein, "Fast multiplication and its applications", 2008): the
+same exact product from a few large, Karatsuba-sized multiplications.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen, set_field
 from .errors import DomainError, RangeError, SingularSystemError
 from .recurrence import SternLikeSpec, _descent, _double, evaluator
 
@@ -57,14 +56,16 @@ def coeff_at(spec: SternLikeSpec, e: int, r: int) -> tuple[int, int]:
     return (0, alpha) if carry else (alpha, beta)
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(Frozen):
     """Materialized coefficient rows A(e, .), B(e, .) for e = 0..e_max."""
 
-    spec: SternLikeSpec
-    e_max: int
-    A: tuple[Row, ...]
-    B: tuple[Row, ...]
+    __slots__ = ("spec", "e_max", "A", "B")
+
+    def __init__(self, spec: SternLikeSpec, e_max: int, A: tuple[Row, ...], B: tuple[Row, ...]):
+        set_field(self, "spec", spec)
+        set_field(self, "e_max", e_max)
+        set_field(self, "A", A)
+        set_field(self, "B", B)
 
 
 def coeff_table(spec: SternLikeSpec, e_max: int) -> CoeffTable:
@@ -90,25 +91,40 @@ def coeffs(table: CoeffTable, e: int, r: int) -> tuple[int, int]:
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class MatrixPair:
+class MatrixPair(Frozen):
     """Digit matrices acting on the column state (v(k), v(k+1)).
 
     m0 maps it to (v(2k), v(2k+1)); m1 maps it to (v(2k+1), v(2k+2)).
     """
 
-    m0: Matrix
-    m1: Matrix
+    __slots__ = ("m0", "m1")
+
+    def __init__(self, m0: Matrix, m1: Matrix):
+        set_field(self, "m0", m0)
+        set_field(self, "m1", m1)
+
+
+def _matrices(spec: SternLikeSpec) -> tuple[Matrix, Matrix]:
+    a, b, c = spec.a, spec.b, spec.c
+    return ((a, 0), (b, c)), ((b, c), (0, a))
 
 
 def transition_matrices(spec: SternLikeSpec) -> MatrixPair:
-    a, b, c = spec.a, spec.b, spec.c
-    return MatrixPair(((a, 0), (b, c)), ((b, c), (0, a)))
+    return MatrixPair(*_matrices(spec))
+
+
+def _base_states(spec: SternLikeSpec) -> tuple[tuple[int, int], ...]:
+    """(v(k), v(k+1)) for 0 <= k < 2*n_eff, read straight off `init`; the
+    last one needs v(2*n_eff) = a*v(n_eff)."""
+    init = spec.init
+    return tuple(zip(init, (*init[1:], spec.a * init[spec.n_eff])))
 
 
 def eval_fast(spec: SternLikeSpec, n: int) -> int:
-    """v(n) through the linear representation: O(log n) matrix steps."""
-    return linear_representation(spec).evaluate(n)
+    """v(n) through the linear representation: O(log n) matrix steps, from
+    the same data as `linear_representation(spec).evaluate(n)`, which it
+    does not build."""
+    return _evaluate(_base_states(spec), *_matrices(spec), n)
 
 
 def recover_coefficients(spec: SternLikeSpec, e: int, r: int,
@@ -153,10 +169,10 @@ _TREE_MIN_DIGITS = 2048
 _CHUNK_DIGITS = 16
 
 
-def _replay(matrices: MatrixPair, digits: str, x: int, y: int) -> tuple[int, int]:
+def _replay(m0: Matrix, m1: Matrix, digits: str, x: int, y: int) -> tuple[int, int]:
     """Advance the column state (x, y) along `digits`, most-significant first."""
-    (a00, a01), (a10, a11) = matrices.m0
-    (b00, b01), (b10, b11) = matrices.m1
+    (a00, a01), (a10, a11) = m0
+    (b00, b01), (b10, b11) = m1
     for bit in digits:
         if bit == "1":
             x, y = b00 * x + b01 * y, b10 * x + b11 * y
@@ -165,7 +181,7 @@ def _replay(matrices: MatrixPair, digits: str, x: int, y: int) -> tuple[int, int
     return x, y
 
 
-def _digit_products(matrices: MatrixPair, digits: str) -> list[tuple[int, int, int, int]]:
+def _digit_products(m0: Matrix, m1: Matrix, digits: str) -> list[tuple[int, int, int, int]]:
     """The product P = M_dk ... M_d1 of the matrices of digits d1..dk (d1
     the most significant) as [P] or as two factors [P1, P2] with P = P2*P1,
     P1 from the earlier digits, each flattened row by row; needs at least
@@ -180,8 +196,8 @@ def _digit_products(matrices: MatrixPair, digits: str) -> list[tuple[int, int, i
     level = []
     for start in range(0, len(digits), _CHUNK_DIGITS):
         chunk = digits[start:start + _CHUNK_DIGITS]
-        p, r = _replay(matrices, chunk, 1, 0)
-        q, s = _replay(matrices, chunk, 0, 1)
+        p, r = _replay(m0, m1, chunk, 1, 0)
+        q, s = _replay(m0, m1, chunk, 0, 1)
         level.append((p, q, r, s))
     while len(level) > 2:
         paired = [(p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h)
@@ -190,46 +206,54 @@ def _digit_products(matrices: MatrixPair, digits: str) -> list[tuple[int, int, i
     return level
 
 
-@dataclass(frozen=True)
-class LinearRepresentation:
+def _evaluate(base_states: tuple[tuple[int, int], ...], m0: Matrix, m1: Matrix, n: int) -> int:
+    """v(n) from base states and digit matrices alone: the base state at n's
+    top bits, advanced along the digits below them, most-significant first.
+
+    Below `_TREE_MIN_DIGITS` digits the state is replayed one digit at a
+    time; from there on the digits' matrices are multiplied in a balanced
+    product tree (`_digit_products`) up to the two subtrees of its root.
+    The earlier one is applied to the state and the later one's first row
+    to the result, which takes two large multiplications where the root
+    product would take eight.
+    """
+    if n < 0:
+        raise DomainError(f"sequence index must be >= 0, got {n}")
+    # the base index is n's top bits: the smallest shift j with n >> j
+    # below len(base_states); the j digits under it advance its state
+    size = len(base_states)
+    j = max(0, n.bit_length() - size.bit_length())
+    if n >> j >= size:
+        j += 1
+    x, y = base_states[n >> j]
+    digits = format(n, "b")
+    digits = digits[len(digits) - j:]
+    if j < _TREE_MIN_DIGITS:
+        return _replay(m0, m1, digits, x, y)[0]
+    *earlier, (p, q, _, _) = _digit_products(m0, m1, digits)
+    for e, f, g, h in earlier:
+        x, y = e * x + f * y, g * x + h * y
+    return p * x + q * y
+
+
+class LinearRepresentation(Frozen):
     """Everything an external consumer needs to evaluate the sequence.
 
     `base_states[k] = (v(k), v(k+1))` for 0 <= k < 2*n_eff and the two digit
     matrices; a term is the first coordinate of the final state.
     """
 
-    spec: SternLikeSpec
-    base_states: tuple[tuple[int, int], ...]
-    matrices: MatrixPair
+    __slots__ = ("spec", "base_states", "matrices")
+
+    def __init__(self, spec: SternLikeSpec, base_states: tuple[tuple[int, int], ...],
+                 matrices: MatrixPair):
+        set_field(self, "spec", spec)
+        set_field(self, "base_states", base_states)
+        set_field(self, "matrices", matrices)
 
     def evaluate(self, n: int) -> int:
-        """v(n) from the exported data alone: the base state at n's top bits,
-        advanced along the digits below them, most-significant first.
-
-        Below `_TREE_MIN_DIGITS` digits the state is replayed one digit at a
-        time; from there on the digits' matrices are multiplied in a balanced
-        product tree (`_digit_products`) up to the two subtrees of its root.
-        The earlier one is applied to the state and the later one's first row
-        to the result, which takes two large multiplications where the root
-        product would take eight.
-        """
-        if n < 0:
-            raise DomainError(f"sequence index must be >= 0, got {n}")
-        # the base index is n's top bits: the smallest shift j with n >> j
-        # below len(base_states); the j digits under it advance its state
-        size = len(self.base_states)
-        j = max(0, n.bit_length() - size.bit_length())
-        if n >> j >= size:
-            j += 1
-        x, y = self.base_states[n >> j]
-        digits = format(n, "b")
-        digits = digits[len(digits) - j:]
-        if j < _TREE_MIN_DIGITS:
-            return _replay(self.matrices, digits, x, y)[0]
-        *earlier, (p, q, _, _) = _digit_products(self.matrices, digits)
-        for e, f, g, h in earlier:
-            x, y = e * x + f * y, g * x + h * y
-        return p * x + q * y
+        """v(n) from the exported data alone (see `_evaluate`)."""
+        return _evaluate(self.base_states, self.matrices.m0, self.matrices.m1, n)
 
     def render(self) -> str:
         """Stable, diff-friendly plain-text export (`key value...` lines)."""
@@ -250,8 +274,4 @@ class LinearRepresentation:
 
 
 def linear_representation(spec: SternLikeSpec) -> LinearRepresentation:
-    """Base states read straight off `init`; the last one needs v(2*n_eff) = a*v(n_eff).
-    Nothing is cached, so `eval_fast` pays this on every call: keep it cheap."""
-    init = spec.init
-    ends = (*init[1:], spec.a * init[spec.n_eff])
-    return LinearRepresentation(spec, tuple(zip(init, ends)), transition_matrices(spec))
+    return LinearRepresentation(spec, _base_states(spec), transition_matrices(spec))

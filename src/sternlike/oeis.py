@@ -10,8 +10,7 @@ explicitly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen, set_field
 from .errors import BFileError, RangeError
 from .recurrence import SternLikeSpec, _term_lookup, eval_range
 
@@ -28,10 +27,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BFileTable:
-    records: tuple[tuple[int, int], ...]
-    source: str = ""
+class BFileTable(Frozen):
+    __slots__ = ("records", "source")
+
+    def __init__(self, records: tuple[tuple[int, int], ...], source: str = ""):
+        set_field(self, "records", records)
+        set_field(self, "source", source)
 
 
 def parse_bfile(text: str, source: str = "") -> BFileTable:
@@ -81,15 +82,18 @@ def write_bfile(spec: SternLikeSpec, lo: int, hi: int) -> str:
     return "".join(map("{} {}\n".format, range(start, hi + 1), eval_range(spec, start, hi)))
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    spec_label: str
-    source: str
-    index_shift: int
-    checked: int
-    skipped: int
-    # (sequence index, file value, computed value)
-    mismatches: tuple[tuple[int, int, int], ...]
+class CrosscheckReport(Frozen):
+    __slots__ = ("spec_label", "source", "index_shift", "checked", "skipped", "mismatches")
+
+    def __init__(self, spec_label: str, source: str, index_shift: int, checked: int,
+                 skipped: int, mismatches: tuple[tuple[int, int, int], ...]):
+        set_field(self, "spec_label", spec_label)
+        set_field(self, "source", source)
+        set_field(self, "index_shift", index_shift)
+        set_field(self, "checked", checked)
+        set_field(self, "skipped", skipped)
+        # (sequence index, file value, computed value)
+        set_field(self, "mismatches", mismatches)
 
     @property
     def ok(self) -> bool:

@@ -18,10 +18,10 @@ m = n >> k: O(log n) steps, no recursion and no memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
+from ._frozen import Frozen, set_field
 from .errors import DomainError, RangeError, SpecError, UnknownPresetError
 
 __all__ = [
@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SternLikeSpec:
+class SternLikeSpec(Frozen):
     """One Stern-like sequence: coefficients, start index and initial segment.
 
     `init` holds v(0) .. v(2*n_eff - 1).  `output_min_index` marks the first
@@ -49,15 +48,16 @@ class SternLikeSpec:
     placeholders needed only to seed the recurrence).
     """
 
-    a: int
-    b: int
-    c: int
-    n0: int
-    init: tuple[int, ...]
-    name: str | None = None
-    output_min_index: int = 0
+    __slots__ = ("a", "b", "c", "n0", "init", "name", "output_min_index")
 
-    def __post_init__(self):
+    def __init__(self, a: int, b: int, c: int, n0: int, init: Iterable[int],
+                 name: str | None = None, output_min_index: int = 0):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "n0", n0)
+        set_field(self, "name", name)
+        set_field(self, "output_min_index", output_min_index)
         for label in ("a", "b", "c"):
             if not isinstance(getattr(self, label), int):
                 raise SpecError(f"coefficient {label} must be an integer")
@@ -65,7 +65,7 @@ class SternLikeSpec:
             raise SpecError("n0 must be a non-negative integer")
         if not isinstance(self.output_min_index, int) or self.output_min_index < 0:
             raise SpecError("output_min_index must be a non-negative integer")
-        init = tuple(self.init)
+        init = tuple(init)
         if any(not isinstance(v, int) for v in init):
             raise SpecError("init values must be integers")
         if len(init) != 2 * self.n_eff:
@@ -73,7 +73,7 @@ class SternLikeSpec:
                 f"init must list exactly {2 * self.n_eff} values "
                 f"v(0)..v({2 * self.n_eff - 1}), got {len(init)}"
             )
-        object.__setattr__(self, "init", init)
+        set_field(self, "init", init)
 
     @property
     def n_eff(self) -> int:
@@ -298,7 +298,4 @@ def load_spec_file(path) -> SternLikeSpec:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise SpecError(f"{path}: not UTF-8 text ({exc})") from None
-    spec = parse_spec_text(text)
-    if spec.name is None:
-        spec = replace(spec, name=str(path))
-    return spec
+    return parse_spec_text(text, name=str(path))  # a `name` key in the file wins

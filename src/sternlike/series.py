@@ -31,10 +31,10 @@ full-order quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable
 
+from ._frozen import Frozen, set_field
 from .errors import DivisionError, RangeError, UnknownCheckError
 from .recurrence import SternLikeSpec, eval_range, prefix, preset
 
@@ -60,16 +60,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(Frozen):
     """coeffs[i] is the coefficient of X^(val + i); sound for exponents < order."""
 
-    val: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("val", "coeffs")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, val: int, coeffs: tuple[int, ...]):
+        if not coeffs:
             raise RangeError("a series needs at least one stored coefficient")
+        set_field(self, "val", val)
+        set_field(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
@@ -271,22 +271,29 @@ def first_mismatch(f: LaurentSeries, g: LaurentSeries) -> int | None:
 # Named checks
 
 
-@dataclass(frozen=True)
-class LevelResult:
-    level: int
-    first_bad_exponent: int | None
+class LevelResult(Frozen):
+    __slots__ = ("level", "first_bad_exponent")
+
+    def __init__(self, level: int, first_bad_exponent: int | None):
+        set_field(self, "level", level)
+        set_field(self, "first_bad_exponent", first_bad_exponent)
 
     @property
     def holds(self) -> bool:
         return self.first_bad_exponent is None
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    params: dict
-    levels: tuple[LevelResult, ...]
-    artifacts: dict = field(default_factory=dict)
+class CheckReport(Frozen):
+    """Its dict fields leave it unhashable."""
+
+    __slots__ = ("name", "params", "levels", "artifacts")
+
+    def __init__(self, name: str, params: dict, levels: tuple[LevelResult, ...],
+                 artifacts: dict | None = None):
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "levels", levels)
+        set_field(self, "artifacts", {} if artifacts is None else artifacts)  # a fresh one each
 
     @property
     def holds(self) -> bool:

@@ -21,8 +21,7 @@ is that single-length count, kept as the independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen, set_field
 from .errors import RangeError
 from .recurrence import eval_direct, preset
 
@@ -63,14 +62,17 @@ def factor_counts(word: bytes, ell_max: int) -> tuple[int, ...]:
                  for ell in range(1, ell_max + 1))
 
 
-@dataclass(frozen=True)
-class YPresetReport:
-    ell_max: int
-    prefix_length: int
-    # (ell, oracle count, recurrence value) for every disagreement
-    mismatches: tuple[tuple[int, int, int], ...]
-    # ells whose count changed when the prefix was doubled
-    unsaturated: tuple[int, ...]
+class YPresetReport(Frozen):
+    __slots__ = ("ell_max", "prefix_length", "mismatches", "unsaturated")
+
+    def __init__(self, ell_max: int, prefix_length: int,
+                 mismatches: tuple[tuple[int, int, int], ...], unsaturated: tuple[int, ...]):
+        set_field(self, "ell_max", ell_max)
+        set_field(self, "prefix_length", prefix_length)
+        # (ell, oracle count, recurrence value) for every disagreement
+        set_field(self, "mismatches", mismatches)
+        # ells whose count changed when the prefix was doubled
+        set_field(self, "unsaturated", unsaturated)
 
     @property
     def ok(self) -> bool:

@@ -3,7 +3,6 @@
 import gc
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -282,7 +281,7 @@ def _random_identity(rng):
         first = _random_index(rng)
         second = rng.choice((_random_index(rng), f"{first} + {rng.choice(_VANISHING)}"))
         text += f" + {rng.randint(1, 3)}*({seq}({first}) - {seq}({second}))"
-    return replace(bind_presets(parse_identity(text)), n_min=rng.choice((0, 0, 1)))
+    return bind_presets(parse_identity(text)).replace(n_min=rng.choice((0, 0, 1)))
 
 
 def test_verify_is_the_first_event_of_the_lexicographic_scan():
@@ -320,7 +319,7 @@ def _clashing_identity(rng):
         first = f"n - {n_min + rng.randint(1, 2)}" + ("*r" if stage == "row" else "")
     second = f"{rng.randint(0, 2)} - {rng.randint(3, 4)}*" + ("r" if stage == "row" else "2^e")
     lhs, rhs = (f"{side} + {seq}({first}) + {seq}({second})" for side in text.split(" == "))
-    return replace(bind_presets(parse_identity(f"{lhs} == {rhs}")), n_min=n_min)
+    return bind_presets(parse_identity(f"{lhs} == {rhs}")).replace(n_min=n_min)
 
 
 @settings(deadline=None, max_examples=60)
@@ -407,7 +406,7 @@ def test_a_serial_scan_grows_one_prefix_across_its_levels(monkeypatch):
     ("(0 - 1)^(3 - n)*s(n) == (0 - 1)^(3 - n)*s(2*n)", 1, 8),
     ("s(n*n) == s(2*n*n)", 2, 12),
 ])
-def test_stretches_meet_their_edges_as_the_reference_scan_does(text, e_max, n_max):
+def test_the_scan_meets_its_edges_as_the_reference_scan_does(text, e_max, n_max):
     ident = bind_presets(parse_identity(text))
     expected = _outcome(reference_verify, ident, e_max, n_max)
     assert _outcome(verify, ident, e_max, n_max) == expected
@@ -472,8 +471,8 @@ def _perturbed(ident, how):
             if isinstance(node, BinOp):
                 return BinOp(node.op, read_next(node.lhs), read_next(node.rhs))
             return node
-        return replace(ident, lhs=read_next(ident.lhs), rhs=read_next(rhs))
-    return replace(ident, rhs=rhs)
+        return ident.replace(lhs=read_next(ident.lhs), rhs=read_next(rhs))
+    return ident.replace(rhs=rhs)
 
 
 # Reznick's relation and the general corollary for drawn specs, from every
@@ -501,7 +500,7 @@ def test_all_certificates_match_the_reference_scan_on_drawn_identities(abc, n0, 
     if n_min is None:
         ident = generic_corollary(spec)
     else:
-        ident = replace(_REZNICK, bindings=(("v", spec),), n_min=n_min)
+        ident = _REZNICK.replace(bindings=(("v", spec),), n_min=n_min)
     if slip:
         ident = _perturbed(ident, slip)
     n_max = max(n_max, ident.n_min)
@@ -525,7 +524,7 @@ def test_all_certificates_match_the_reference_scan_on_drawn_identities(abc, n0, 
 ])
 def test_certificates_rest_on_relations_among_shifts(text, spec, path):
     ident = parse_identity(text)
-    ident = bind_presets(ident) if spec is None else replace(ident, bindings=(("v", spec),))
+    ident = bind_presets(ident) if spec is None else ident.replace(bindings=(("v", spec),))
     verdict = verify(ident, 4, 16)
     assert (verdict.holds, verdict.path) == (True, path)
     assert verdict == reference_verify(ident, 4, 16)
@@ -687,7 +686,7 @@ def test_certified_identities_load_no_kernel_and_grow_no_prefix(monkeypatch):
     ("s(n + 70) + s(n) == s(n + 70) + s(n)", 0, 16),
 ])
 def test_late_or_wide_shift_windows_are_left_to_the_scan(text, n_min, n_max):
-    ident = replace(bind_presets(parse_identity(text)), n_min=n_min)
+    ident = bind_presets(parse_identity(text)).replace(n_min=n_min)
     verdict = verify(ident, 2, n_max)
     assert (verdict, verdict.path) == (scan_only(ident, 2, n_max), "grid")
 
@@ -725,8 +724,8 @@ _ALTERNATING = make_spec(-1, 1, 0, 0, (0, 3))  # v(2m) = -v(m), v(2m + 1) = v(m)
 ])
 def test_all_certificates_prove_or_refuse_identities_with_n(text, spec, n_min, path):
     ident = parse_identity(text)
-    ident = replace(bind_presets(ident) if spec is None else replace(
-        ident, bindings=(("v", spec),)), n_min=n_min)
+    ident = (bind_presets(ident) if spec is None else ident.replace(
+        bindings=(("v", spec),))).replace(n_min=n_min)
     for e_max in (0, 2, 4):
         expected = _outcome(reference_verify, ident, e_max, 12)
         verdict = _outcome(verify, ident, e_max, 12)
@@ -827,7 +826,7 @@ def test_level_certificates_match_the_reference_scan(spec, terms, const, related
         xs = _relation(rows, len(terms) + 1) or xs
     lhs = " + ".join(f"{_lit(x)}*v({p}*2^e + {_lit(s)}*r + {_lit(b)})"
                      for (p, s, b, _), x in zip(terms, xs))
-    ident = replace(parse_identity(f"{lhs} == {_lit(xs[-1])}"), bindings=(("v", spec),))
+    ident = parse_identity(f"{lhs} == {_lit(xs[-1])}").replace(bindings=(("v", spec),))
     expected = _outcome(reference_verify, ident, e_max, 0)
     verdict = _outcome(verify, ident, e_max, 0)
     assert verdict == expected, ident.text
@@ -985,7 +984,7 @@ def test_generic_corollary_round_trips():
 
 def test_custom_n_min_override():
     ident = catalog_entry("prop2")
-    lowered = replace(ident, n_min=0)
+    lowered = ident.replace(n_min=0)
     verdict = verify(lowered, 3, 8)
     assert not verdict.holds
     assert verdict.counterexample.n == 0

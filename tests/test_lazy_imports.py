@@ -44,6 +44,39 @@ def test_imports_leave_out_the_network_and_the_pool(code, unwanted):
     assert _modules_loaded_after(code, unwanted) == []
 
 
+def test_a_cold_cli_loads_no_dataclasses_and_no_traceback():
+    # the crash handler prints with the interpreter's own printer
+    assert _modules_loaded_after("import sternlike.cli", ("dataclasses", "traceback")) == []
+
+
+def test_the_submodules_load_no_dataclasses_and_no_inspect():
+    code = "from sternlike import cli, identities, linrep, oeis, recurrence, series, tm_oracle"
+    assert _modules_loaded_after(code, ("dataclasses", "inspect")) == []
+
+
+def test_a_catalog_entry_builds_no_catalog():
+    code = ("from sternlike import identities\nidentities.catalog_entry('prop1')\n"
+            "identities.catalog_entry('generic_cor_tm_complexity_shift')\n"
+            "print(identities.catalog.cache_info().currsize)")
+    assert _fresh(code) == "0\n"
+
+
+def test_each_catalog_entry_is_the_catalog_one():
+    from sternlike.identities import _CATALOG_SOURCES, catalog, catalog_entry, catalog_names
+    sources = {name: (family, variant, n_min) for name, family, variant, n_min, _ in _CATALOG_SOURCES}
+    for name, expected in zip(catalog_names(), catalog(), strict=True):
+        entry = catalog_entry(name)
+        assert entry is expected and entry.text == expected.text
+        fields = (entry.name, entry.family, entry.variant, entry.n_min, entry.bindings)
+        assert fields == (expected.name, expected.family, expected.variant, expected.n_min,
+                          expected.bindings)
+        assert fields[1:4] == sources.get(name, ("generic_cor", "", entry.bindings[0][1].n0))
+    assert len(sources) == 22 and len(catalog()) == 29
+    for name in ("generic_cor_s", "generic_cor_", "generic_cor_custom", "nosuch"):
+        with pytest.raises(sternlike.UnknownIdentityError):
+            catalog_entry(name)
+
+
 def test_cli_eval_loads_only_what_it_calls():
     names = ("sternlike.identities", "sternlike.tm_oracle", "sternlike.oeis",
              "sternlike.series", "urllib.request", "sternlike.linrep")

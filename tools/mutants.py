@@ -1,10 +1,12 @@
-"""Mutation check of the certificate and the scan in `sternlike.identities`
-and of the prefix bound in `sternlike.recurrence`.
+"""Mutation check of the certificate and the scan in `sternlike.identities`,
+of the prefix bound in `sternlike.recurrence`, and of the value classes'
+equality and hash in `sternlike._frozen`.
 
 Each mutant is one small edit of the source, the kind of slip that would let
 the certificate claim "holds for all n" or "for all e" when it does not, or
-refuse what it should prove, let the scan skip an instance, or let a prefix
-grow a round or more past the largest index read.  The check applies each mutant alone to a copy
+refuse what it should prove, let the scan skip an instance, let a prefix
+grow a round or more past the largest index read, or let two different
+values compare or hash alike.  The check applies each mutant alone to a copy
 of the repository and runs only the tests listed for it; a mutant that those
 tests do not kill survives.
 
@@ -12,7 +14,7 @@ tests do not kill survives.
 
 checks first that each old text occurs exactly once in its file, then runs
 every mutant, and exits 1 on a problem or a survivor.  The full run takes
-about half a minute on a 2-vCPU VM.  `tests/test_mutants.py` runs only the
+about a minute on a 2-vCPU VM.  `tests/test_mutants.py` runs only the
 first check, `check()`, so that a refactor which moves a mutated line must
 update the table.
 """
@@ -40,6 +42,7 @@ class Mutant(NamedTuple):
 
 _IDENTITIES = "src/sternlike/identities.py"
 _RECURRENCE = "src/sternlike/recurrence.py"
+_FROZEN = "src/sternlike/_frozen.py"
 _T = "tests/test_identities.py::"
 _LEVELS = _T + "test_levels_certificates_prove_or_refuse_identities_without_n"
 _DRAWN_LEVELS = _T + "test_level_certificates_match_the_reference_scan"
@@ -52,6 +55,8 @@ _FIRST_EVENT = _T + "test_verify_is_the_first_event_of_the_lexicographic_scan"
 _PATHS = _T + "test_verdicts_compare_without_path_and_scope"
 _GROWTH = "tests/test_recurrence.py::test_term_lookup_grows_less_than_a_round_past_its_largest_read"
 _SCAN_GROWTH = _T + "test_a_whole_scan_ends_its_prefix_less_than_a_round_past_its_largest_read"
+_F = "tests/test_frozen.py::"
+_ENTRIES = "tests/test_lazy_imports.py::test_each_catalog_entry_is_the_catalog_one"
 
 MUTANTS: tuple[Mutant, ...] = (
     # the certificate read from the tree, for every (e, r) and n
@@ -123,6 +128,18 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(_RECURRENCE, "min(max(n + 1, 2 * len(values)), n + _ROUND, limit)",
            "min(max(n + 1, 2 * len(values)), n + 2 * _ROUND, limit)",
            "a read past the prefix grows it two rounds past the index", (_GROWTH, _SCAN_GROWTH)),
+    # the value classes and the catalog lookup
+    Mutant(_FROZEN, "value = hash(self._key(self))", "value = hash(self._key(self)[1:])",
+           "the hash leaves out a field", (_F + "test_the_hash_is_the_tuple_of_compared_fields",)),
+    Mutant(_FROZEN, "if other.__class__ is self.__class__:", "if isinstance(other, Frozen):",
+           "equality ignores the class",
+           (_F + "test_equal_fields_give_equal_objects_of_one_class_only",)),
+    Mutant(_IDENTITIES, '_uncompared = ("path",)', "_uncompared = ()",
+           "Verdict equality compares path",
+           (_F + "test_verdicts_that_differ_only_in_path_are_equal_and_hash_alike",)),
+    Mutant(_IDENTITIES, "*parse_equation(text), n_min=n_min,", "*parse_equation(text),",
+           "a catalog entry drops its n_min",
+           (_ENTRIES,)),
 )
 
 
