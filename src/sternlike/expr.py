@@ -18,7 +18,7 @@ from .errors import ParseError
 
 __all__ = [
     "Lit", "Var", "BinOp", "Term", "Coeff", "Node",
-    "VARIABLES", "COEFF_NAMES", "OPS", "walk", "mentions", "parse_equation", "render",
+    "VARIABLES", "COEFF_NAMES", "OPS", "walk", "parse_equation", "render",
 ]
 
 
@@ -96,18 +96,6 @@ def walk(node: Node):
             stack.append(node.arg)
         elif isinstance(node, Coeff):
             stack += node.r_arg, node.e_arg
-
-
-def mentions(node: Node, var: str) -> bool:
-    """Whether `var` occurs in `node`; code generation asks this of every
-    subtree, so it recurses directly rather than through `walk`."""
-    if isinstance(node, BinOp):
-        return mentions(node.lhs, var) or mentions(node.rhs, var)
-    if isinstance(node, Term):
-        return mentions(node.arg, var)
-    if isinstance(node, Coeff):
-        return mentions(node.e_arg, var) or mentions(node.r_arg, var)
-    return isinstance(node, Var) and node.name == var
 
 
 # ---------------------------------------------------------------------------

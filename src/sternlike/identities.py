@@ -14,14 +14,15 @@ scanned in lexicographic (e, r, n) order; the first counterexample or
 evaluation error in that order decides, so a failing identity yields the
 lexicographically smallest counterexample.  The scan runs in one process.
 
-Each identity is compiled, once per `verify`, into a kernel that scans one
-e-level with the r and n loops in the generated code: one pass over n per
-row (e, r), or, when the identity has no n, one instance per row with n
-pinned.  A row's first instance, evaluated left to right, names each
-subtree that does not mention n where it first computes it: 2^e, s(r),
-s(2^e - r) and A(e, r).  The row's later instances read those names in one
-plain loop, so the first error, or the first expensive value, the kernel
-meets is the one the scan meets first.  The scan keeps one prefix per
+Each identity is compiled, once per `verify`, into a kernel: one generated
+function that scans rows of one e-level with the r and n loops in its code,
+one pass over n per row (e, r), or, when the identity has no n, one
+instance per row with n pinned; `check_instance` runs it on one row and
+one n.  A row's first instance, evaluated left to right, names each subtree
+that does not mention n where it first computes it: 2^e, s(r), s(2^e - r)
+and A(e, r).  The row's later instances read those names in one plain
+loop, so the first error, or the first expensive value, the kernel meets
+is the one the scan meets first.  The scan keeps one prefix per
 sequence and grows it level by level, each level at most one round of
 `recurrence._term_lookup` past the largest index it reads, and never past
 8x its grid.
@@ -52,7 +53,7 @@ from typing import Callable, NamedTuple
 
 from ._frozen import Frozen, set_field
 from .errors import DomainError, RangeError, UnknownIdentityError
-from .expr import (COEFF_NAMES, OPS, VARIABLES, BinOp, Coeff, Lit, Node, Term, Var, mentions,
+from .expr import (COEFF_NAMES, OPS, VARIABLES, BinOp, Coeff, Lit, Node, Term, Var,
                    parse_equation, render, walk)
 from .linrep import CoeffTable, coeff_at, coeff_table
 from .recurrence import (PRESET_ALIASES, PRESET_NAMES, SternLikeSpec, _term_lookup,
@@ -149,7 +150,8 @@ class Identity(Frozen):
 
     @cached_property
     def uses_n(self) -> bool:
-        return mentions(self.lhs, "n") or mentions(self.rhs, "n")
+        return any(isinstance(node, Var) and node.name == "n"
+                   for node in (*walk(self.lhs), *walk(self.rhs)))
 
 
 def parse_identity(text: str) -> Identity:
@@ -175,26 +177,36 @@ def _int_pow(base: int, exp: int) -> int:
     return base ** exp
 
 
-def _emit(node: Node, slot: dict[str, int], name: Callable[[Node, str], str]) -> str:
-    """Python source for `node`: a term reads the prefix `_v<slot>` inline
-    while the index is below `_m<slot>`, and otherwise calls `_f<slot>`,
-    which may grow the prefix, and re-reads its length into `_m<slot>`.  The
-    source of every subtree other than a literal or variable passes through
-    `name(subtree, source)`, which returns it or a name bound to its value."""
+def _emit(node: Node, slot: dict[str, int], hoisted: dict[Node, str]) -> tuple[str, str, bool]:
+    """(first, loop, with_n): the Python source for `node` in a row's first
+    instance and in the row's loop over n, and whether it mentions n.  A term
+    reads the prefix `_v<slot>` inline while the index is below `_m<slot>`,
+    and otherwise calls `_f<slot>`, which may grow the prefix, and re-reads
+    its length into `_m<slot>`.  `first` names each subtree free of n, other
+    than a literal or variable, as `(_h<k> := ...)` where it first computes
+    it, k being the number of subtrees `hoisted` named before it; `loop`
+    reads the name."""
     if isinstance(node, Lit):
-        return repr(node.value)
+        return repr(node.value), repr(node.value), False
     if isinstance(node, Var):
-        return node.name
+        return node.name, node.name, node.name == "n"
     if isinstance(node, BinOp):
-        lhs, rhs = _emit(node.lhs, slot, name), _emit(node.rhs, slot, name)
-        text = f"_ip({lhs}, {rhs})" if node.op == "^" else f"({lhs}{OPS[node.op][3]}{rhs})"
+        kids = node.lhs, node.rhs
+        form = "_ip({}, {})" if node.op == "^" else f"({{}}{OPS[node.op][3]}{{}})"
     elif isinstance(node, Term):
-        k, index = slot[node.seq], _emit(node.arg, slot, name)
-        text = (f"(_v{k}[_i] if 0 <= (_i := {index}) < _m{k} "
+        k = slot[node.seq]
+        kids = node.arg,
+        form = (f"(_v{k}[_i] if 0 <= (_i := {{}}) < _m{k} "
                 f"else (_f{k}(_i), _m{k} := len(_v{k}))[0])")
     else:
-        text = f"_c{node.kind}({_emit(node.e_arg, slot, name)}, {_emit(node.r_arg, slot, name)})"
-    return name(node, text)
+        kids, form = (node.e_arg, node.r_arg), f"_c{node.kind}({{}}, {{}})"
+    firsts, loops, with_n = zip(*[_emit(kid, slot, hoisted) for kid in kids])
+    if any(with_n):
+        return form.format(*firsts), form.format(*loops), True
+    if node in hoisted:
+        return hoisted[node], hoisted[node], False
+    name = hoisted[node] = f"_h{len(hoisted)}"
+    return f"({name} := {form.format(*firsts)})", name, False
 
 
 # the largest k of a power 2^(e + k) that `_shape` reads; a larger one is
@@ -444,25 +456,6 @@ def _span(start: int, window: Callable[[int], list[int]]) -> list[list[int]]:
     return list(basis.values())
 
 
-def _with_n(*roots: Node) -> set[int]:
-    """The ids of the subtrees under `roots` that mention n, in one walk."""
-    found: set[int] = set()
-
-    def visit(node: Node) -> bool:
-        if isinstance(node, Var):
-            hit = node.name == "n"
-        else:
-            hit = any([visit(getattr(node, attr)) for attr in ("lhs", "rhs", "arg", "e_arg", "r_arg")
-                       if hasattr(node, attr)])
-        if hit:
-            found.add(id(node))
-        return hit
-
-    for root in roots:
-        visit(root)
-    return found
-
-
 def _bind(identity: Identity, e: int, limit: int,
           carried: dict[str, object] | None = None) -> dict[str, object]:
     """The names compiled code reads at level e: `_ip`; per bound sequence
@@ -501,74 +494,57 @@ def _coeff_reader(table: CoeffTable, which: int) -> Callable[[int, int], int]:
 
 
 def check_instance(identity: Identity, e: int, r: int, n: int) -> tuple[int, int, bool]:
-    """Evaluate both sides exactly at one binding of (e, r, n).  It generates
-    and loads the identity's whole kernel on every call, so it must not run
-    in a loop; `verify` scans a grid."""
+    """Evaluate both sides exactly at one binding of (e, r, n): the kernel's
+    `_level(e, r, r, n, n)`, a row's first instance alone.  It generates and
+    loads the identity's kernel on every call, so it must not run in a loop;
+    `verify` scans a grid."""
     names = _bind(identity, e, 0)
-    lhs, rhs = _load(_kernel_source(identity, tuple(names)))(**names)[0](e, r, n)
+    _, _, lhs, rhs = _load(_kernel_source(identity, tuple(names)))(**names)(e, r, r, n, n)
     return lhs, rhs, lhs == rhs
 
 
-# The kernel of an identity: `_instance(e, r, n)` evaluates both sides left to
-# right, and `_level(e, r_hi, n_lo, n_hi)` scans one e-level, returning the
-# first (r, n, lhs, rhs) with lhs != rhs in lexicographic order, or None.  Each
-# term grows its prefix as `recurrence._term_lookup` does: at most one round
-# past the index read, and never past the level's limit.  `_level` runs one
-# pass over n per row (e, r); without n, n_lo = n_hi.  Each row runs its first
-# instance inline, in the text of `_instance`, which names each subtree that
-# does not mention n, as `(_h<k> := ...)`, where it first evaluates it and
-# reads the name after; then one plain loop up to n_hi reads those names.
-# So the kernel computes nothing, raises nothing, ahead of the scan.
+# The kernel of an identity: `_level(e, r_lo, r_hi, n_lo, n_hi)` scans the
+# rows r_lo <= r <= r_hi of one e-level, one pass over n per row (without n,
+# n_lo = n_hi), and returns the first (r, n, lhs, rhs) with lhs != rhs in
+# lexicographic order, or else the last instance it evaluated.  Each term
+# grows its prefix as `recurrence._term_lookup` does: at most one round past
+# the index read, and never past the level's limit.  Each row runs its first
+# instance inline, naming each subtree that does not mention n, as
+# `(_h<k> := ...)`, where it first evaluates it and reads the name after;
+# then one plain loop up to n_hi reads those names.  So the kernel computes
+# nothing, raises nothing, ahead of the scan.
 _KERNEL = """\
 def _make({params}):
-    def _instance(e, r, n):
+    def _level(e, r_lo, r_hi, n_lo, n_hi):
 {sizes}
-        return {lhs}, {rhs}
-
-    def _level(e, r_hi, n_lo, n_hi):
-{sizes}
-        for r in range(r_hi + 1):
+        for r in range(r_lo, r_hi + 1):
             n = n_lo
             if (lhs := {lhs}) != (rhs := {rhs}):
                 return r, n, lhs, rhs
             for n in range(n_lo + 1, n_hi + 1):
                 if (lhs := {lhs_loop}) != (rhs := {rhs_loop}):
                     return r, n, lhs, rhs
-        return None
+        return r, n, lhs, rhs
 
-    return _instance, _level
+    return _level
 """
 
 
 def _kernel_source(identity: Identity, params: tuple[str, ...]) -> str:
     """The source of `_make(**names)`, which returns the identity's kernel
-    `(_instance, _level)` bound to one level's `names` (see `_bind`);
-    it is the same text at every level.  Each side is emitted twice: for a
-    row's first instance, naming each subtree free of n where it first
-    occurs, and for the row's loop over n, reading those names."""
+    `_level` bound to one level's `names` (see `_bind`); it is the same text
+    at every level.  One `_emit` walk of each side, lhs first, writes both
+    its texts: for a row's first instance and for the row's loop over n."""
     slot = {seq: k for k, (seq, _) in enumerate(identity.bindings)}
     sizes = "\n".join(f"        _m{k} = len(_v{k})" for k in slot.values())
     hoisted: dict[Node, str] = {}
-    with_n = _with_n(identity.lhs, identity.rhs)
-
-    def first(node: Node, text: str) -> str:
-        if id(node) in with_n:
-            return text
-        if node in hoisted:
-            return hoisted[node]
-        hoisted[node] = f"_h{len(hoisted)}"
-        return f"({hoisted[node]} := {text})"
-
-    def hoist(node: Node, text: str) -> str:
-        return text if id(node) in with_n else hoisted[node]
-
-    sides = {side: _emit(getattr(identity, side), slot, first) for side in ("lhs", "rhs")}
-    for side in ("lhs", "rhs"):
-        sides[f"{side}_loop"] = _emit(getattr(identity, side), slot, hoist)
-    return _KERNEL.format(params=", ".join(params), **sides, sizes=sizes)
+    (lhs, lhs_loop, _), (rhs, rhs_loop, _) = (_emit(side, slot, hoisted)
+                                              for side in (identity.lhs, identity.rhs))
+    return _KERNEL.format(params=", ".join(params), sizes=sizes, lhs=lhs, rhs=rhs,
+                          lhs_loop=lhs_loop, rhs_loop=rhs_loop)
 
 
-def _load(source: str) -> Callable[..., tuple[Callable, Callable]]:
+def _load(source: str) -> Callable[..., Callable]:
     """Run a kernel source; returns its `_make`, which is kept out of its own
     globals so that no reference cycle pins a level's prefixes."""
     namespace: dict[str, object] = {}
@@ -617,8 +593,8 @@ def _verify(identity: Identity, e_max: int, n_max: int, jobs: int, certify: bool
     for e in range(e_max + 1):
         # every catalog index stays below 8x the level's grid (5*2^e*n + r needs 5x)
         names = _bind(identity, e, 8 * ((1 << e) + 1) * (n_hi - n_lo + 1), names)
-        hit = make(**names)[1](e, 1 << e, n_lo, n_hi)
-        if hit is not None:
+        hit = make(**names)(e, 0, 1 << e, n_lo, n_hi)
+        if hit[2] != hit[3]:
             return Verdict(False, count, Counterexample(e, *hit))
     return Verdict(True, count)
 

@@ -5,6 +5,7 @@ import random
 import sys
 from fractions import Fraction
 from math import lcm
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,12 +13,12 @@ from hypothesis import strategies as st
 
 from sternlike import (DomainError, ParseError, RangeError,
                        UnknownIdentityError, catalog, catalog_entry,
-                       catalog_names, check_instance, discrepancy_report,
+                       catalog_names, check_instance, coeff_at, discrepancy_report,
                        eval_direct, generic_corollary, make_spec, parse_identity,
                        preset, verify)
 from sternlike import identities, recurrence
 from sternlike.recurrence import _ROUND, PRESET_NAMES
-from sternlike.identities import (BinOp, Coeff, Counterexample, Lit, Term, bind_presets,
+from sternlike.identities import (BinOp, Coeff, Counterexample, Lit, Term, Var, bind_presets,
                                   render, VARIANT_FAMILIES)
 
 from conftest import scan_only
@@ -153,6 +154,14 @@ def test_check_instance_domain_error():
         check_instance(ident, 0, 0, 0)
 
 
+def test_check_instance_evaluates_only_its_own_instance():
+    ident = bind_presets(parse_identity("s(r - 1) == s(r - 1)"))
+    # row 0 of level 1 reads s(-1); row 1 alone does not
+    with pytest.raises(DomainError):
+        check_instance(ident, 1, 0, 0)
+    assert check_instance(ident, 1, 1, 0) == (0, 0, True)
+
+
 def test_verify_prop1_counts_full_grid():
     verdict = verify(catalog_entry("prop1"), 4, 16)
     assert verdict.holds
@@ -225,9 +234,10 @@ def test_verify_pins_n_for_identities_without_n():
 
 def reference_verify(identity, e_max, n_max):
     """The grid walked in lexicographic (e, r, n) order, one call of the
-    kernel's unhoisted `_instance` per point, loaded once and bound once per
-    level with no prefix (every term by descent), stopping at the first
-    mismatch or exception; the count is the full grid."""
+    kernel's `_level(e, r, r, n, n)` per point, a row's first instance alone,
+    which computes each value it names before reading it; loaded once and
+    bound once per level with no prefix (every term by descent), stopping at
+    the first mismatch or exception; the count is the full grid."""
     n_hi = n_max if identity.uses_n else identity.n_min
     points = [(e, r, n) for e in range(e_max + 1) for r in range((1 << e) + 1)
               for n in range(identity.n_min, n_hi + 1)]
@@ -236,8 +246,8 @@ def reference_verify(identity, e_max, n_max):
     instances = {}
     for e, r, n in points:
         if e not in instances:
-            instances[e] = make(**identities._bind(identity, e, 0))[0]
-        lhs, rhs = instances[e](e, r, n)
+            instances[e] = make(**identities._bind(identity, e, 0))
+        _, _, lhs, rhs = instances[e](e, r, r, n, n)
         if lhs != rhs:
             return identities.Verdict(False, len(points), Counterexample(e, r, n, lhs, rhs))
     return identities.Verdict(True, len(points))
@@ -331,6 +341,60 @@ def test_verify_matches_the_reference_scan_on_drawn_identities(seed, e_max, n_ma
     assert _outcome(verify, ident, e_max, n_max) == expected, ident.text
     if rerun:
         assert _outcome(verify, ident, e_max, n_max, jobs=2) == expected, ident.text
+
+
+def tree_instance(identity, e, r, n):
+    """`check_instance` computed from the tree alone, sharing no code with the
+    kernel: a plain recursion, left to right, with terms by `eval_direct`,
+    A(e, r)/B(e, r) by `coeff_at`, and the kernel's errors for a negative
+    index or exponent."""
+    specs = dict(identity.bindings)
+
+    def value(node):
+        if isinstance(node, Lit):
+            return node.value
+        if isinstance(node, Var):
+            return {"e": e, "r": r, "n": n}[node.name]
+        if isinstance(node, Term):
+            index = value(node.arg)
+            if index < 0:
+                raise DomainError(f"index of {node.seq}(...) evaluated negative: {index}")
+            return eval_direct(specs[node.seq], index)
+        if isinstance(node, Coeff):
+            at = value(node.e_arg), value(node.r_arg)
+            return coeff_at(*set(specs.values()), *at)["AB".index(node.kind)]
+        lhs, rhs = value(node.lhs), value(node.rhs)
+        if node.op == "^" and rhs < 0:
+            raise DomainError(f"exponent evaluated negative: {rhs}")
+        return {"+": add, "-": sub, "*": mul, "^": pow}[node.op](lhs, rhs)
+
+    lhs, rhs = value(identity.lhs), value(identity.rhs)
+    return lhs, rhs, lhs == rhs
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(), st.booleans(), st.integers(0, 4), st.data())
+def test_check_instance_matches_a_tree_evaluator_on_drawn_identities(seed, clash, e, data):
+    ident = (_clashing_identity if clash else _random_identity)(random.Random(seed))
+    r, n = data.draw(st.integers(0, 1 << e)), data.draw(st.integers(0, 10))
+    expected = _outcome(tree_instance, ident, e, r, n)
+    assert _outcome(check_instance, ident, e, r, n) == expected, (ident.text, e, r, n)
+
+
+# negative exponents, and A(e, r)/B(e, r) outside 0 <= r <= 2^e or at e < 0,
+# each met before or after a negative index
+_INSTANCE_ERRORS = ("(0 - 1)^(n - 3)*s(n) == s(n)", "s(n)*2^(r - 1) == s(2^e - r) - 2^(e - n)",
+                    "A(e, r - 1)*s(n) == B(e - n, r)*s(n + 1)", "s(2^e - 3*r) == A(e, 2*r)",
+                    "2^(n - e)*s(r) == s(r - n)")
+
+
+def test_check_instance_matches_a_tree_evaluator_on_the_catalog_and_at_errors():
+    for ident in (*catalog(), *(bind_presets(parse_identity(text)) for text in _INSTANCE_ERRORS)):
+        for e in range(4):
+            for r in (0, (1 << e) // 2, 1 << e):
+                for n in (0, 1, 5):
+                    expected = _outcome(tree_instance, ident, e, r, n)
+                    assert _outcome(check_instance, ident, e, r, n) == expected, ident.name
 
 
 # the lhs reads s(-1) at the first instance, where a row value (r - 5) or a

@@ -18,6 +18,12 @@ def test_every_mutant_edits_one_place_and_names_existing_tests():
     assert mutants.check() == []
     for mutant in mutants.MUTANTS:
         assert mutant.old != mutant.new and mutant.tests, mutant.reason
-        for node in mutant.tests:
-            path, name = node.split("::")
-            assert f"\ndef {name}(" in (ROOT / path).read_text(encoding="utf-8"), node
+
+
+def test_the_check_reports_a_listed_test_that_is_not_defined(monkeypatch):
+    mutants = _load_mutants()
+    first = mutants.MUTANTS[0]
+    renamed = first._replace(tests=(*first.tests, "tests/test_identities.py::test_no_such_test"))
+    monkeypatch.setattr(mutants, "MUTANTS", (renamed,))
+    assert mutants.check() == [
+        f"mutant 0 ({first.reason}): no test tests/test_identities.py::test_no_such_test"]

@@ -12,8 +12,10 @@ tests do not kill survives.
 
     python3 tools/mutants.py
 
-checks first that each old text occurs exactly once in its file, then runs
-every mutant, and exits 1 on a problem or a survivor.  The full run takes
+checks first that each old text occurs exactly once in its file and that
+each listed test is defined, then runs every mutant, and exits 1 on a
+problem or a survivor.  A mutant is killed only when pytest exits 1, a
+failing test; any other exit code but 0 is a problem.  The full run takes
 about a minute on a 2-vCPU VM.  `tests/test_mutants.py` runs only the
 first check, `check()`, so that a refactor which moves a mutated line must
 update the table.
@@ -53,6 +55,8 @@ _CATALOG = _T + "test_holding_catalog_identities_with_n_are_certified_for_all_n"
 _BASIS = _T + "test_the_window_basis_spans_the_windows_from_its_start"
 _FIRST_EVENT = _T + "test_verify_is_the_first_event_of_the_lexicographic_scan"
 _PATHS = _T + "test_verdicts_compare_without_path_and_scope"
+_OWN_INSTANCE = _T + "test_check_instance_evaluates_only_its_own_instance"
+_DRAWN_SCAN = _T + "test_verify_matches_the_reference_scan_on_drawn_identities"
 _GROWTH = "tests/test_recurrence.py::test_term_lookup_grows_less_than_a_round_past_its_largest_read"
 _SCAN_GROWTH = _T + "test_a_whole_scan_ends_its_prefix_less_than_a_round_past_its_largest_read"
 _F = "tests/test_frozen.py::"
@@ -121,6 +125,12 @@ MUTANTS: tuple[Mutant, ...] = (
            "the scan that tests compare against certified as well", (_PATHS,)),
     Mutant(_IDENTITIES, "for n in range(n_lo + 1, n_hi + 1):", "for n in range(n_lo + 1, n_hi):",
            "each row's scan stopped one n short", (_FIRST_EVENT,)),
+    Mutant(_IDENTITIES, "for r in range(r_lo, r_hi + 1):", "for r in range(r_hi + 1):",
+           "the rows start at 0 whatever r_lo", (_OWN_INSTANCE,)),
+    # the emitter of the kernel's texts
+    Mutant(_IDENTITIES, "if any(with_n):", "if all(with_n):",
+           "a subtree with n in one child only named, so the loop reads a stale value",
+           (_DRAWN_SCAN,)),
     # the prefix bound
     Mutant(_RECURRENCE, "min(max(n + 1, 2 * len(values)), n + _ROUND, limit)",
            "min(max(n + 1, 2 * len(values)), limit)",
@@ -144,18 +154,25 @@ MUTANTS: tuple[Mutant, ...] = (
 
 
 def check(root: Path = ROOT) -> list[str]:
-    """The rows whose old text does not occur exactly once in its file."""
+    """The rows whose old text does not occur exactly once in its file, and
+    the listed tests whose function is not defined in its file."""
     problems = []
     for at, mutant in enumerate(MUTANTS):
         count = (root / mutant.file).read_text(encoding="utf-8").count(mutant.old)
         if count != 1:
             problems.append(f"mutant {at} ({mutant.reason}): old text occurs {count} times")
+        for test in mutant.tests:
+            path, name = test.split("::")
+            if f"\ndef {name}(" not in (root / path).read_text(encoding="utf-8"):
+                problems.append(f"mutant {at} ({mutant.reason}): no test {test}")
     return problems
 
 
-def survives(mutant: Mutant, root: Path = ROOT) -> bool:
-    """Whether every test listed for `mutant` passes on a copy of `root`
-    with the mutant applied."""
+def run(mutant: Mutant, root: Path = ROOT) -> int:
+    """The exit code of pytest running the tests listed for `mutant` on a
+    copy of `root` with the mutant applied: 0 if it survives, 1 if a test
+    fails and so kills it; any other code (say 4, a test that is not there)
+    is a problem, not a kill."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(root, copy, ignore=shutil.ignore_patterns(
@@ -164,11 +181,10 @@ def survives(mutant: Mutant, root: Path = ROOT) -> bool:
         path.write_text(path.read_text(encoding="utf-8").replace(mutant.old, mutant.new, 1),
                         encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-        result = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              "--hypothesis-seed=0", *mutant.tests],
-            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        return result.returncode == 0
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
 def main() -> int:
@@ -177,13 +193,15 @@ def main() -> int:
         print(problem)
     if problems:
         return 1
-    survivors = 0
+    survivors = failures = 0
     for at, mutant in enumerate(MUTANTS):
-        alive = survives(mutant)
-        survivors += alive
-        print(f"{at:2d} {'SURVIVED' if alive else 'killed  '} {mutant.reason}", flush=True)
-    print(f"{survivors} of {len(MUTANTS)} survived")
-    return int(bool(survivors))
+        code = run(mutant)
+        survivors += code == 0
+        failures += code not in (0, 1)
+        status = {0: "SURVIVED", 1: "killed  "}.get(code, f"pytest exited {code}")
+        print(f"{at:2d} {status} {mutant.reason}", flush=True)
+    print(f"{survivors} of {len(MUTANTS)} survived, {failures} not run to a verdict")
+    return int(bool(survivors or failures))
 
 
 if __name__ == "__main__":
