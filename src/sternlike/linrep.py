@@ -15,19 +15,24 @@ Equivalently, the pair state (v(k), v(k+1)) is advanced along the binary
 digits of the index by two fixed 2x2 integer matrices, which exhibits the
 sequence as 2-regular: v(n) is the first coordinate of the product of n's
 digit matrices applied to a base state.  `LinearRepresentation.evaluate`
-and `eval_fast` share one routine, `_evaluate`, which replays the digits on
-the state one at a time for indices of up to a few thousand bits.  Above
-that the state's integers grow with every step, which makes the replay
-quadratic, so it multiplies the digit matrices in a balanced product tree
-instead (Bernstein, "Fast multiplication and its applications", 2008): the
-same exact product from a few large, Karatsuba-sized multiplications.
+and `eval_fast` share one routine, `_evaluate`, which applies the digits'
+matrices eight at a time, through the 256 products of eight digit matrices,
+for indices of up to a few thousand bits.  Above that the state's integers
+grow with every step, which makes the replay quadratic, so it multiplies
+those products in a balanced product tree instead (Bernstein, "Fast
+multiplication and its applications", 2008): the same exact product from a
+few large, Karatsuba-sized multiplications.  The only state kept between
+calls is that immutable 256-entry table, one per matrix pair, and each
+spec's base states and matrices, for at most `_STRIDE_SPECS` of each.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ._frozen import Frozen, set_field
 from .errors import DomainError, RangeError, SingularSystemError
-from .recurrence import SternLikeSpec, _descent, _double, evaluator
+from .recurrence import _STRIDE_SPECS, SternLikeSpec, _descent, _double, evaluator
 
 __all__ = [
     "CoeffTable",
@@ -46,7 +51,8 @@ Row = tuple[int, ...]
 
 
 def coeff_at(spec: SternLikeSpec, e: int, r: int) -> tuple[int, int]:
-    """(A(e, r), B(e, r)) by e descent steps on r: O(e) work, nothing cached.
+    """(A(e, r), B(e, r)) by e descent steps on r: O(e) work, eight digits at
+    a time, with no row cached but the descent's stride rows of (a, b, c).
     For r = 2^e the descent ends with carry 1: v(2^e*(n+1)) = a^e*v(n+1)."""
     if e < 0:
         raise RangeError(f"e must be >= 0, got {e}")
@@ -124,7 +130,13 @@ def eval_fast(spec: SternLikeSpec, n: int) -> int:
     """v(n) through the linear representation: O(log n) matrix steps, from
     the same data as `linear_representation(spec).evaluate(n)`, which it
     does not build."""
-    return _evaluate(_base_states(spec), *_matrices(spec), n)
+    return _evaluate(*_representation(spec), n)
+
+
+@lru_cache(maxsize=_STRIDE_SPECS)
+def _representation(spec: SternLikeSpec) -> tuple:
+    """(base states, m0, m1) of `spec`, kept for `eval_fast`."""
+    return _base_states(spec), *_matrices(spec)
 
 
 def recover_coefficients(spec: SternLikeSpec, e: int, r: int,
@@ -159,14 +171,27 @@ def recover_coefficients(spec: SternLikeSpec, e: int, r: int,
     return a_val, b_val
 
 
-# `evaluate` replays fewer than this many digits one at a time and
-# multiplies longer runs in a product tree.  Measured on a 2-vCPU VM
-# (Python 3.11, three random indices per preset, best of 40 calls), the
-# tree takes 2.4x the replay's time at 40 bits, 1.17x at 1024, 1.00x at
-# 2048, 0.83x at 3072 and 0.70x at 4096 bits.
-_TREE_MIN_DIGITS = 2048
-# digits per leaf of the product tree; a leaf's entries stay small
-_CHUNK_DIGITS = 16
+# `evaluate` applies fewer than this many digits eight at a time and
+# multiplies longer runs in a product tree of the same 8-digit products.
+# Measured on a 2-vCPU VM (Python 3.11, three random indices per preset, best
+# of 40 calls up to 8192 bits, of 10 to 32768 and of 3 above), the tree takes
+# 1.08-1.24x the stride replay's time at 2048 bits, 1.00-1.17x at 3072,
+# 0.85-1.03x at 4096, 0.69-0.91x at 6144, 0.58-0.81x at 8192, 0.39-0.58x at
+# 16384 and 0.13-0.20x at 131072 bits; z3, whose terms stay in {-1, 0, 1},
+# replays faster at every size (the tree takes 2.2-3.4x).
+_TREE_MIN_DIGITS = 4096
+
+
+@lru_cache(maxsize=_STRIDE_SPECS)
+def _stride_products(m0: Matrix, m1: Matrix) -> tuple[tuple[int, int, int, int], ...]:
+    """The product P = M_d8 ... M_d1 of the matrices of each run of eight
+    digits d1..d8 (d1 the most significant), flattened row by row, at the
+    index whose binary digits are d1..d8; built from m0 and m1 alone."""
+    level = [(1, 0, 0, 1)]
+    for _ in range(8):
+        level = [(e * p + f * r, e * q + f * s, g * p + h * r, g * q + h * s)
+                 for p, q, r, s in level for (e, f), (g, h) in (m0, m1)]
+    return tuple(level)
 
 
 def _replay(m0: Matrix, m1: Matrix, digits: str, x: int, y: int) -> tuple[int, int]:
@@ -181,40 +206,17 @@ def _replay(m0: Matrix, m1: Matrix, digits: str, x: int, y: int) -> tuple[int, i
     return x, y
 
 
-def _digit_products(m0: Matrix, m1: Matrix, digits: str) -> list[tuple[int, int, int, int]]:
-    """The product P = M_dk ... M_d1 of the matrices of digits d1..dk (d1
-    the most significant) as [P] or as two factors [P1, P2] with P = P2*P1,
-    P1 from the earlier digits, each flattened row by row; needs at least
-    one digit.
-
-    Each `_CHUNK_DIGITS`-digit chunk's product is replayed on its two
-    columns, then neighbouring products are multiplied pairwise until at
-    most two are left: the levels of a balanced product tree below its
-    root, whose entries only get large in their last few levels.  The root
-    product is left to the caller, which needs only its first row.
-    """
-    level = []
-    for start in range(0, len(digits), _CHUNK_DIGITS):
-        chunk = digits[start:start + _CHUNK_DIGITS]
-        p, r = _replay(m0, m1, chunk, 1, 0)
-        q, s = _replay(m0, m1, chunk, 0, 1)
-        level.append((p, q, r, s))
-    while len(level) > 2:
-        paired = [(p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h)
-                  for (e, f, g, h), (p, q, r, s) in zip(level[::2], level[1::2])]
-        level = paired + level[-1:] if len(level) % 2 else paired
-    return level
-
-
 def _evaluate(base_states: tuple[tuple[int, int], ...], m0: Matrix, m1: Matrix, n: int) -> int:
     """v(n) from base states and digit matrices alone: the base state at n's
     top bits, advanced along the digits below them, most-significant first.
 
-    Below `_TREE_MIN_DIGITS` digits the state is replayed one digit at a
-    time; from there on the digits' matrices are multiplied in a balanced
-    product tree (`_digit_products`) up to the two subtrees of its root.
-    The earlier one is applied to the state and the later one's first row
-    to the result, which takes two large multiplications where the root
+    The leading j % 8 of the j digits are replayed one at a time, the rest
+    go eight at a time through `_stride_products`.  From `_TREE_MIN_DIGITS`
+    digits on, those products are the leaves of a balanced product tree:
+    neighbours are multiplied pairwise, so entries only get large in the
+    last few levels, until the two subtrees of its root are left.  The
+    earlier one is applied to the state and the later one's first row to
+    the result, which takes two large multiplications where the root
     product would take eight.
     """
     if n < 0:
@@ -226,11 +228,25 @@ def _evaluate(base_states: tuple[tuple[int, int], ...], m0: Matrix, m1: Matrix, 
     if n >> j >= size:
         j += 1
     x, y = base_states[n >> j]
-    digits = format(n, "b")
-    digits = digits[len(digits) - j:]
+    lead = j & 7
+    if lead:
+        x, y = _replay(m0, m1, format(n >> (j - lead), "b")[-lead:], x, y)
+    if j < 8:
+        return x
+    # the remaining digits, eight at a time from the most significant
+    runs = (n & ((1 << (j - lead)) - 1)).to_bytes(j >> 3, "big")
+    products = _stride_products(m0, m1)
     if j < _TREE_MIN_DIGITS:
-        return _replay(m0, m1, digits, x, y)[0]
-    *earlier, (p, q, _, _) = _digit_products(m0, m1, digits)
+        for run in runs:
+            p, q, r, s = products[run]
+            x, y = p * x + q * y, r * x + s * y
+        return x
+    level = [products[run] for run in runs]
+    while len(level) > 2:
+        paired = [(p * e + q * g, p * f + q * h, r * e + s * g, r * f + s * h)
+                  for (e, f, g, h), (p, q, r, s) in zip(level[::2], level[1::2])]
+        level = paired + level[-1:] if len(level) % 2 else paired
+    *earlier, (p, q, _, _) = level
     for e, f, g, h in earlier:
         x, y = e * x + f * y, g * x + h * y
     return p * x + q * y

@@ -13,12 +13,16 @@ m >= 2*n_eff is 2n or 2n+1 for some n >= n_eff >= n0.
 Everything is exact: coefficients and values are arbitrary-precision ints.
 `prefix` builds v(0) .. v(hi) bottom-up; `eval_direct` descends from n,
 least-significant bit first, keeping v(n) = alpha*v(m) + beta*v(m+1) with
-m = n >> k: O(log n) steps, no recursion and no memo.
+m = n >> k: O(log n) steps, no recursion and no memo of values.  The descent
+takes eight digits per step through the rows A(8, j), B(8, j) of Reznick's
+relation v(256*n + j) = A(8, j)*v(n) + B(8, j)*v(n+1); the only state kept
+between calls is that immutable 256-entry table, one per (a, b, c), for at
+most `_STRIDE_SPECS` coefficient triples.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 from ._frozen import Frozen, set_field
@@ -172,12 +176,36 @@ def _extend(spec: SternLikeSpec, values: list[int], size: int) -> list[int]:
     return values
 
 
+# the most coefficient triples (a, b, c) whose stride rows are kept: the
+# presets and a job's handful of drawn specs
+_STRIDE_SPECS = 32
+
+
+@lru_cache(maxsize=_STRIDE_SPECS)
+def _stride_rows(a: int, b: int, c: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(A(8, j), B(8, j), A(8, j + 1), B(8, j + 1)) for 0 <= j < 256, so that
+    v(256*x + j) = A(8, j)*v(x) + B(8, j)*v(x+1); the rows come from eight
+    doubling rounds of (1, 0) and (0, 1), as `linrep.coeff_table` builds them."""
+    rows_a, rows_b = [1, 0], [0, 1]
+    for _ in range(8):
+        rows_a, rows_b = _double(a, b, c, rows_a), _double(a, b, c, rows_b)
+    return tuple(zip(rows_a, rows_b, rows_a[1:], rows_b[1:]))
+
+
 def _descent(spec: SternLikeSpec, m: int, steps: int) -> tuple[int, int, int]:
     """(alpha, beta, k = m >> steps) with v(2^steps*x + m) = alpha*v(x+k) +
-    beta*v(x+k+1), wherever the recurrence holds at each index halved on the way."""
+    beta*v(x+k+1), wherever the recurrence holds at each index halved on the way.
+    The low digits go eight at a time through `_stride_rows`, the last
+    steps % 8 one at a time."""
     a, b, c = spec.a, spec.b, spec.c
     alpha, beta = 1, 0
-    for _ in range(steps):
+    if steps >= 8:
+        rows = _stride_rows(a, b, c)
+        for _ in range(steps >> 3):
+            p, q, r, s = rows[m & 255]
+            alpha, beta = alpha * p + beta * r, alpha * q + beta * s
+            m >>= 8
+    for _ in range(steps & 7):
         if m & 1:
             alpha, beta = alpha * b, alpha * c + beta * a
         else:
@@ -222,14 +250,16 @@ def _term_lookup(spec: SternLikeSpec, limit: int, label: str = "v",
 
 
 def eval_direct(spec: SternLikeSpec, n: int) -> int:
-    """v(n) by descent onto the initial segment: O(log n) steps, no memo."""
+    """v(n) by descent onto the initial segment: O(log n) steps, no memo of
+    values; it keeps only the stride rows of (a, b, c) (see `_descent`)."""
     if n < 0:
         raise DomainError(f"sequence index must be >= 0, got {n}")
     return _term(spec, n, (*spec.init, spec.a * spec.init[spec.n_eff]))
 
 
 def evaluator(spec: SternLikeSpec) -> Callable[[int], int]:
-    """`eval_direct` bound to `spec`; it caches nothing."""
+    """`eval_direct` bound to `spec`; it caches no values, only the stride
+    rows that `eval_direct` keeps for (a, b, c)."""
     return partial(eval_direct, spec)
 
 

@@ -54,6 +54,13 @@ def test_the_submodules_load_no_dataclasses_and_no_inspect():
     assert _modules_loaded_after(code, ("dataclasses", "inspect")) == []
 
 
+def test_importing_the_cli_builds_no_stride_table():
+    code = ("import sternlike.cli\nfrom sternlike import linrep, recurrence\n"
+            "print(recurrence._stride_rows.cache_info().currsize,"
+            " linrep._stride_products.cache_info().currsize)")
+    assert _fresh(code) == "0 0\n"
+
+
 def test_a_catalog_entry_builds_no_catalog():
     code = ("from sternlike import identities\nidentities.catalog_entry('prop1')\n"
             "identities.catalog_entry('generic_cor_tm_complexity_shift')\n"

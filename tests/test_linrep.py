@@ -110,20 +110,25 @@ def test_eval_fast_equals_eval_direct(name):
 
 
 def test_evaluate_calls_no_descent(monkeypatch):
-    # the fast path must stay code-disjoint from the descent it is checked against
+    # the fast path must stay code-disjoint from the descent it is checked
+    # against: its stride table comes from the digit matrices alone
     spec = preset("tm_complexity_shift")
-    n = random.Random(10_000).getrandbits(10_000) | 1 << 9_999
-    expected = eval_direct(spec, n)
+    rng = random.Random(10_000)
+    ns = [rng.getrandbits(10_000) | 1 << 9_999, rng.getrandbits(40) | 1 << 39]
+    expected = [eval_direct(spec, n) for n in ns]
 
     def refuse(*args):
         raise AssertionError("evaluate called into the descent")
 
     for module, name in ((recurrence, "_descent"), (recurrence, "_term"),
-                         (recurrence, "evaluator"), (linrep, "_descent"),
-                         (linrep, "evaluator")):
+                         (recurrence, "evaluator"), (recurrence, "_double"),
+                         (recurrence, "_stride_rows"), (linrep, "_descent"),
+                         (linrep, "evaluator"), (linrep, "_double")):
         monkeypatch.setattr(module, name, refuse)
-    assert linear_representation(spec).evaluate(n) == expected
-    assert eval_fast(spec, n) == expected
+    linrep._stride_products.cache_clear()
+    assert [linear_representation(spec).evaluate(n) for n in ns] == expected
+    linrep._stride_products.cache_clear()
+    assert [eval_fast(spec, n) for n in ns] == expected
 
 
 def test_recover_coefficients_examples():

@@ -11,7 +11,7 @@ from sternlike import (DomainError, RangeError, SpecError, UnknownPresetError,
                        coeff_at, coeff_table, coeffs, eval_direct, eval_fast,
                        eval_range, linear_representation, make_spec,
                        parse_spec_text, preset)
-from sternlike.linrep import _CHUNK_DIGITS, _TREE_MIN_DIGITS
+from sternlike.linrep import _TREE_MIN_DIGITS
 from sternlike import recurrence
 from sternlike.recurrence import _ROUND, PRESET_NAMES, _extend, _term_lookup, prefix
 
@@ -149,13 +149,29 @@ def test_prefix_descent_and_replay_agree(spec, far, e):
             assert coeff_at(spec, level, r) == coeffs(table, level, r)
 
 
-# replayed digit counts j: j = 0 (n is a base index), and whole multiples of
-# the tree's leaf width, one digit less and one more, on both sides of the
-# crossover from replay to product tree
-_REPLAYED_DIGITS = [0] + sorted({k + d for k in (_TREE_MIN_DIGITS - _CHUNK_DIGITS,
-                                                 _TREE_MIN_DIGITS,
-                                                 _TREE_MIN_DIGITS + _CHUNK_DIGITS)
-                                 for d in (-1, 0, 1)})
+# digits per step through the stride tables of both walks
+_STRIDE = 8
+
+
+def _one_digit_descent(spec, m, steps):
+    """(alpha, beta, m >> steps) of `recurrence._descent`, one digit per step."""
+    a, b, c = spec.a, spec.b, spec.c
+    alpha, beta = 1, 0
+    for _ in range(steps):
+        if m & 1:
+            alpha, beta = alpha * b, alpha * c + beta * a
+        else:
+            alpha, beta = alpha * a + beta * b, beta * c
+        m >>= 1
+    return alpha, beta, m
+
+
+# replayed digit counts j: every count up to three strides and one digit, and
+# whole multiples of the stride, one digit less and one more, on both sides of
+# the crossover from stride replay to product tree
+_REPLAYED_DIGITS = list(range(3 * _STRIDE + 2)) + sorted(
+    {k + d for k in range(_TREE_MIN_DIGITS - 2 * _STRIDE, _TREE_MIN_DIGITS + 3 * _STRIDE, _STRIDE)
+     for d in (-1, 0, 1)})
 
 
 def test_double_examples():
@@ -227,7 +243,7 @@ def test_eval_range_straddling_its_limit_matches_descent(spec, width, data):
     assert len(prefix_values) == max(2 * width, 2 * spec.n_eff + 1)
 
 
-@settings(deadline=None)
+@settings(deadline=None, max_examples=200)
 @given(_specs(), st.sampled_from(_REPLAYED_DIGITS), st.data())
 def test_evaluate_equals_descent_around_the_tree_crossover(spec, j, data):
     rep = linear_representation(spec)
@@ -235,7 +251,21 @@ def test_evaluate_equals_descent_around_the_tree_crossover(spec, j, data):
     # n >> j is a base index and n >> (j - 1) is not: exactly j digits are replayed
     lo = size << (j - 1) if j else 0
     n = data.draw(st.integers(lo, (size << j) - 1))
-    assert rep.evaluate(n) == eval_direct(spec, n)
+    # the reference: a one-digit descent of j steps onto the prefix
+    values = prefix(spec, min(max(size, n), 4096))
+    alpha, beta, k = _one_digit_descent(spec, n, j)
+    expected = alpha * values[k] + beta * values[k + 1]
+    assert n >= len(values) or values[n] == expected
+    assert rep.evaluate(n) == eval_direct(spec, n) == eval_fast(spec, n) == expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(_specs(), st.integers(0, 3 * _STRIDE + 1), st.data())
+def test_coeff_at_equals_a_one_digit_descent(spec, e, data):
+    r = data.draw(st.one_of(st.sampled_from([0, max(0, (1 << e) - 1), 1 << e]),
+                            st.integers(0, 1 << e)))
+    alpha, beta, carry = _one_digit_descent(spec, r, e)
+    assert coeff_at(spec, e, r) == ((0, alpha) if carry else (alpha, beta))
 
 
 @given(_specs())
@@ -268,6 +298,18 @@ def test_eval_direct_retains_no_memory():
     finally:
         tracemalloc.stop()
     assert retained < 64 * 1024
+
+
+def test_a_grid_job_builds_no_stride_table():
+    # identity grids read prefixes and short descents, so no table is built
+    from sternlike import identities, linrep
+    tables = (recurrence._stride_rows, linrep._stride_products)
+    for table in tables:
+        table.cache_clear()
+    for identity in identities.catalog():
+        identities.verify(identity, 4, 16)
+    identities.discrepancy_report(6, 32)
+    assert [table.cache_info().misses for table in tables] == [0, 0]
 
 
 def test_parse_spec_text():

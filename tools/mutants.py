@@ -1,6 +1,7 @@
 """Mutation check of the certificate and the scan in `sternlike.identities`,
-of the prefix bound in `sternlike.recurrence`, and of the value classes'
-equality and hash in `sternlike._frozen`.
+of the prefix bound and the descent's stride step in `sternlike.recurrence`,
+of the digit walk in `sternlike.linrep`, and of the value classes' equality
+and hash in `sternlike._frozen`.
 
 Each mutant is one small edit of the source, the kind of slip that would let
 the certificate claim "holds for all n" or "for all e" when it does not, or
@@ -45,6 +46,7 @@ class Mutant(NamedTuple):
 _IDENTITIES = "src/sternlike/identities.py"
 _RECURRENCE = "src/sternlike/recurrence.py"
 _FROZEN = "src/sternlike/_frozen.py"
+_LINREP = "src/sternlike/linrep.py"
 _T = "tests/test_identities.py::"
 _LEVELS = _T + "test_levels_certificates_prove_or_refuse_identities_without_n"
 _DRAWN_LEVELS = _T + "test_level_certificates_match_the_reference_scan"
@@ -59,6 +61,8 @@ _OWN_INSTANCE = _T + "test_check_instance_evaluates_only_its_own_instance"
 _DRAWN_SCAN = _T + "test_verify_matches_the_reference_scan_on_drawn_identities"
 _GROWTH = "tests/test_recurrence.py::test_term_lookup_grows_less_than_a_round_past_its_largest_read"
 _SCAN_GROWTH = _T + "test_a_whole_scan_ends_its_prefix_less_than_a_round_past_its_largest_read"
+_STRIDE_EDGES = "tests/test_recurrence.py::test_evaluate_equals_descent_around_the_tree_crossover"
+_COEFF_AT = "tests/test_recurrence.py::test_coeff_at_equals_a_one_digit_descent"
 _F = "tests/test_frozen.py::"
 _ENTRIES = "tests/test_lazy_imports.py::test_each_catalog_entry_is_the_catalog_one"
 
@@ -138,6 +142,15 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(_RECURRENCE, "min(max(n + 1, 2 * len(values)), n + _ROUND, limit)",
            "min(max(n + 1, 2 * len(values)), n + 2 * _ROUND, limit)",
            "a read past the prefix grows it two rounds past the index", (_GROWTH, _SCAN_GROWTH)),
+    # eight digits per step: the descent's stride rows and the digit walk's products
+    Mutant(_RECURRENCE, "alpha * p + beta * r, alpha * q + beta * s",
+           "alpha * p + beta * q, alpha * r + beta * s",
+           "A(8, j + 1) and B(8, j) swapped in the descent's stride step",
+           (_COEFF_AT, _STRIDE_EDGES)),
+    Mutant(_LINREP, "for run in runs:", "for run in runs[:-1]:",
+           "the digit walk's stride loop stops one stride early", (_STRIDE_EDGES,)),
+    Mutant(_LINREP, "if lead:\n        x, y = _replay(", "if False:\n        x, y = _replay(",
+           "the leading j % 8 digits not replayed", (_STRIDE_EDGES,)),
     # the value classes and the catalog lookup
     Mutant(_FROZEN, "value = hash(self._key(self))", "value = hash(self._key(self)[1:])",
            "the hash leaves out a field", (_F + "test_the_hash_is_the_tuple_of_compared_fields",)),
