@@ -19,9 +19,12 @@ asking beyond that is a harness bug, not a silent pass.
 
 All coefficient arithmetic is exact; division refuses to leave the
 integers.  Multiplication is Kronecker substitution: both operands are
-packed into one integer each and multiplied once by CPython's bigint
-multiply.  Division is exact long division, quadratic in the order, which
-raises DivisionError at the first step that leaves the integers.
+packed into one integer each, a w-byte slot per coefficient, and multiplied
+once by CPython's bigint multiply.  For w <= 8, which covers every named
+check, no Python code runs per coefficient: slots are written and read as
+int64 by `struct` and cut to w bytes by strided byte copies.  Division is
+exact long division, quadratic in the order, which raises DivisionError at
+the first step that leaves the integers.
 
 The named checks verify relations between the generating series of the
 stern/twisted presets and report the first bad exponent on failure.  The
@@ -31,6 +34,8 @@ full-order quotient.
 
 from __future__ import annotations
 
+import operator
+import struct
 from functools import partial
 from typing import Iterable
 
@@ -129,69 +134,84 @@ def sequence_series(spec: SternLikeSpec, offset: int, order: int) -> LaurentSeri
 
 
 def add(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
-    return _combine(f, g, 1)
+    return _combine(f, g, operator.add)
 
 
 def sub(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
-    return _combine(f, g, -1)
+    return _combine(f, g, operator.sub)
 
 
-def _combine(f: LaurentSeries, g: LaurentSeries, sign: int) -> LaurentSeries:
+def _combine(f: LaurentSeries, g: LaurentSeries, op) -> LaurentSeries:
     val = min(f.val, g.val)
     order = min(f.order, g.order)
-    return LaurentSeries(val, tuple(
-        fc + sign * gc for fc, gc in zip(_window(f, val, order), _window(g, val, order))))
+    return LaurentSeries(val, tuple(map(op, _window(f, val, order), _window(g, val, order))))
 
 
 def mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
     val = f.val + g.val
     order = min(f.order + g.val, g.order + f.val)
-    return LaurentSeries(val, tuple(_kronecker(f.coeffs, g.coeffs, order - val)))
+    return LaurentSeries(val, _kronecker(f.coeffs, g.coeffs, order - val))
 
 
-def _kronecker(a, b, n: int) -> list[int]:
+_SIGN = bytes(128) + b"\xff" * 128  # byte -> the byte its sign bit fills
+
+
+def _kronecker(a, b, n: int) -> tuple[int, ...]:
     """First n coefficients of the product of coefficient sequences a and b.
 
     Kronecker substitution: each operand becomes one integer with a w-byte
     slot per coefficient, so one bigint product holds every convolution sum
     in its own slot.  A slot fits the largest possible |sum| plus a sign
     bit, so slots never spill into each other.  Adding half a slot to each
-    of the n wanted slots makes them all nonnegative, and the bias comes
-    off again as each slot is cut out.
+    of the n wanted slots makes them all nonnegative; XOR with the same bias
+    then leaves each slot's sum in w-byte two's complement.  For w <= 8 the
+    slots are sign-extended to 8 bytes by strided byte copies, the top byte
+    of each through `_SIGN`, and read as little-endian int64 by `struct`;
+    wider slots are read one coefficient at a time.
     """
     a, b = a[:n], b[:n]
     bound = max(map(abs, a)) * max(map(abs, b))
     if not bound:
-        return [0] * n
+        return (0,) * n
     bound *= min(len(a), len(b))
     w = (bound.bit_length() + 8) // 8
-    half = 1 << (8 * w - 1)
-    bias = int.from_bytes(half.to_bytes(w, "little") * n, "little")
-    buf = ((_pack(a, w) * _pack(b, w) + bias) & ((1 << (8 * w * n)) - 1)).to_bytes(
+    bias = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    buf = (((_pack(a, w) * _pack(b, w) + bias) & ((1 << (8 * w * n)) - 1)) ^ bias).to_bytes(
         w * n, "little")
-    return [int.from_bytes(buf[i:i + w], "little") - half for i in range(0, w * n, w)]
+    if w > 8:
+        return tuple(int.from_bytes(buf[i:i + w], "little", signed=True) for i in range(0, w * n, w))
+    wide = bytearray(8 * n)
+    for k in range(w):
+        wide[k::8] = buf[k::w]
+    top = buf[w - 1::w].translate(_SIGN)
+    for k in range(w, 8):
+        wide[k::8] = top
+    return struct.unpack(f"<{n}q", wide)
 
 
 def _pack(coeffs, w: int) -> int:
-    """Sum of coeffs[i] * 2^(8*w*i), built exactly by merging neighbours.
+    """Sum of coeffs[i] * 2^(8*w*i), each |coeffs[i]| < 2^(8*w - 1).
 
-    Plain integer additions keep negative coefficients exact, where
-    concatenated two's-complement slots would not: a negative slot borrows
-    from the one above it.
+    The coefficients are written as w-byte two's-complement slots: for
+    w <= 8 as int64 by `struct`, keeping the low w bytes of each by strided
+    copies, and wider ones one at a time.  Read as one unsigned integer,
+    each negative slot has borrowed 2^(8*w) from the slot above it, which
+    is given back above every slot whose top bit is set.
     """
-    packed = list(coeffs)
-    shift = 8 * w
-    while len(packed) > 1:
-        if len(packed) % 2:
-            packed.append(0)
-        pairs = iter(packed)
-        packed = [lo + (hi << shift) for lo, hi in zip(pairs, pairs)]
-        shift *= 2
-    return packed[0]
+    if w > 8:
+        slots = b"".join(c.to_bytes(w, "little", signed=True) for c in coeffs)
+    else:
+        wide = struct.pack(f"<{len(coeffs)}q", *coeffs)
+        slots = bytearray(w * len(coeffs))
+        for k in range(w):
+            slots[k::w] = wide[k::8]
+    u = int.from_bytes(slots, "little")
+    ones = int.from_bytes((b"\x01" + bytes(w - 1)) * len(coeffs), "little")
+    return u - (((u >> (8 * w - 1)) & ones) << (8 * w))
 
 
 def scale(f: LaurentSeries, k: int) -> LaurentSeries:
-    return LaurentSeries(f.val, tuple(k * coeff for coeff in f.coeffs))
+    return LaurentSeries(f.val, tuple(map(k.__mul__, f.coeffs)))
 
 
 def compose_power(f: LaurentSeries, m: int) -> LaurentSeries:
@@ -200,10 +220,8 @@ def compose_power(f: LaurentSeries, m: int) -> LaurentSeries:
         raise RangeError(f"compose_power needs m >= 1, got {m}")
     if m == 1:
         return f
-    out = [0] * (m * len(f.coeffs) - (m - 1))
-    for i, coeff in enumerate(f.coeffs):
-        out[m * i] = coeff
-    out.extend([0] * (m - 1))  # gap exponents below m*order are exact zeros
+    out = [0] * (m * len(f.coeffs))  # gap exponents below m*order are exact zeros
+    out[::m] = f.coeffs
     return LaurentSeries(m * f.val, tuple(out))
 
 
@@ -364,15 +382,15 @@ def _check_carlitz(order: int, e_max: int | None) -> CheckReport:
 def _check_coons_lemma8(order: int | None, k_max: int) -> CheckReport:
     sval = prefix(preset("stern"), 1 << k_max)
     levels = []
+    lhs = monomial(1, 3)
     for k in range(k_max + 1):
         top = 1 << (k + 1)
-        lhs = monomial(1, top + 1)
-        for i in range(k):
-            factor = [0] * ((1 << (i + 1)) + 1)
-            factor[0] = 1
-            factor[1 << i] += 1
-            factor[1 << (i + 1)] += 1
-            lhs = mul(lhs, from_coeffs(factor, order=top + 1))
+        if k:
+            # level k - 1's lhs is an exact polynomial of degree 2^k - 1, so
+            # padding it to the new order is sound; one new factor per level
+            factor = [1] + [0] * top  # 1 + X^(2^(k - 1)) + X^(2^k)
+            factor[top >> 2] = factor[top >> 1] = 1
+            lhs = mul(from_coeffs(lhs.coeffs, lhs.val, order=top + 1), from_coeffs(factor))
         rhs = [0] * (top + 1)
         for n in range(1, (1 << k) + 1):
             rhs[n] += sval[n]

@@ -216,6 +216,19 @@ def test_check_coons_lemma8_degree_15_polynomial():
     assert [lhs.coefficient(j) for j in range(16)] == expected
 
 
+@pytest.mark.parametrize("k_max", range(7))
+def test_coons_lemma8_multiplies_once_per_level(monkeypatch, k_max):
+    calls = []
+
+    def counted_mul(f, g):
+        calls.append(1)
+        return mul(f, g)
+
+    monkeypatch.setattr(series, "mul", counted_mul)
+    assert check_named("coons_lemma8", e_max=k_max).holds
+    assert len(calls) == k_max
+
+
 def test_check_bconj1_artifacts():
     report = check_named("bconj1", e_max=5, order=256)
     assert report.holds
@@ -278,6 +291,61 @@ def test_first_mismatch_reports_smallest_exponent():
 @example(LaurentSeries(-3, (7,)), LaurentSeries(2, (0, 0, 0)))
 @example(LaurentSeries(0, (-(10**300),) * 3), LaurentSeries(-1, (10**301, -1, 0, 10**300)))
 def test_mul_matches_schoolbook(f, g):
+    assert mul(f, g) == schoolbook_mul(f, g)
+
+
+def _bounded_series(bits):
+    top = (1 << bits) - 1
+    coeffs = st.integers(-top, top) | st.sampled_from((-top, top))
+    return _series(st.lists(coeffs, min_size=1, max_size=40))
+
+
+@st.composite
+def _slot_width_operands(draw):
+    """(f, g) whose coefficient bit lengths add up to a drawn 0..72, so that
+    every slot width from 1 to 10 bytes comes up."""
+    bits = draw(st.integers(0, 72))
+    split = draw(st.integers(0, bits))
+    return draw(_bounded_series(split)), draw(_bounded_series(bits - split))
+
+
+def _on_and_off_byte_edges():
+    """(f, g) for every bound bit length 8w - 9, 8w - 8 and 8w - 7, w = 1..9:
+    f is m equal coefficients of bit length L - p with m = 2^p and g is m
+    ones, so that the product's top slot reaches the bound m * max|f|."""
+    out = []
+    for length in sorted({8 * w + d for w in range(1, 10) for d in (-9, -8, -7)} - {-1, 0}):
+        p = min(4, length - 1)
+        x = ((1 << length) - 1) >> p
+        for fs, gs in ((1, 1), (-1, 1), (-1, -1)):
+            out.append((from_coeffs([fs * x] * (1 << p)), from_coeffs([gs] * (1 << p))))
+    return out
+
+
+@settings(deadline=None, max_examples=300)
+@given(_slot_width_operands())
+def test_mul_matches_schoolbook_at_every_slot_width(operands):
+    assert mul(*operands) == schoolbook_mul(*operands)
+
+
+@pytest.mark.parametrize("f,g", [
+    *_on_and_off_byte_edges(),
+    # all-negative operands, at one- and eight-byte slots
+    (from_coeffs([-1, -2, -3, -4]), from_coeffs([-5, -6, -7])),
+    (from_coeffs([-(1 << 40)] * 9), from_coeffs([-(1 << 12)] * 9)),
+    # the product's top slot negative, and f's and then both operands' too
+    (from_coeffs([5, -3, 0, -7]), from_coeffs([1, 2, 0, 1])),
+    (from_coeffs([1 << 30, -(1 << 29), -(1 << 31)]), from_coeffs([3, 1, -(1 << 20)])),
+    # an operand longer than the product, whose tail must not widen the slots
+    (from_coeffs([1, -1] * 3 + [10**30] * 7), from_coeffs([2, 3, -1, 4, -5, 6])),
+    (LaurentSeries(-2, (7, -1, 2, -5, 1 << 70)), LaurentSeries(3, (-3, 4, 2, 1))),
+    # a 500-term product with a series in X^8, as in the bconj checks
+    (sequence_series(preset("twisted"), 3, 500),
+     compose_power(sequence_series(preset("stern"), 0, 64), 8)),
+    (compose_power(sequence_series(preset("stern"), 0, 75), 8),
+     scale(sequence_series(preset("stern"), 0, 600), -1)),
+])
+def test_mul_matches_schoolbook_at_pinned_slot_edges(f, g):
     assert mul(f, g) == schoolbook_mul(f, g)
 
 

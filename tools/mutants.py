@@ -1,13 +1,15 @@
 """Mutation check of the certificate and the scan in `sternlike.identities`,
 of the prefix bound and the descent's stride step in `sternlike.recurrence`,
-of the digit walk in `sternlike.linrep`, and of the value classes' equality
-and hash in `sternlike._frozen`.
+of the digit walk in `sternlike.linrep`, of the Kronecker slots in
+`sternlike.series`, and of the value classes' equality and hash in
+`sternlike._frozen`.
 
 Each mutant is one small edit of the source, the kind of slip that would let
 the certificate claim "holds for all n" or "for all e" when it does not, or
 refuse what it should prove, let the scan skip an instance, let a prefix
-grow a round or more past the largest index read, or let two different
-values compare or hash alike.  The check applies each mutant alone to a copy
+grow a round or more past the largest index read, let a series product
+read a wrong coefficient from its slots, or let two different values
+compare or hash alike.  The check applies each mutant alone to a copy
 of the repository and runs only the tests listed for it; a mutant that those
 tests do not kill survives.
 
@@ -47,6 +49,7 @@ _IDENTITIES = "src/sternlike/identities.py"
 _RECURRENCE = "src/sternlike/recurrence.py"
 _FROZEN = "src/sternlike/_frozen.py"
 _LINREP = "src/sternlike/linrep.py"
+_SERIES = "src/sternlike/series.py"
 _T = "tests/test_identities.py::"
 _LEVELS = _T + "test_levels_certificates_prove_or_refuse_identities_without_n"
 _DRAWN_LEVELS = _T + "test_level_certificates_match_the_reference_scan"
@@ -63,6 +66,8 @@ _GROWTH = "tests/test_recurrence.py::test_term_lookup_grows_less_than_a_round_pa
 _SCAN_GROWTH = _T + "test_a_whole_scan_ends_its_prefix_less_than_a_round_past_its_largest_read"
 _STRIDE_EDGES = "tests/test_recurrence.py::test_evaluate_equals_descent_around_the_tree_crossover"
 _COEFF_AT = "tests/test_recurrence.py::test_coeff_at_equals_a_one_digit_descent"
+_SLOT_WIDTHS = "tests/test_series.py::test_mul_matches_schoolbook_at_every_slot_width"
+_SLOT_EDGES = "tests/test_series.py::test_mul_matches_schoolbook_at_pinned_slot_edges"
 _F = "tests/test_frozen.py::"
 _ENTRIES = "tests/test_lazy_imports.py::test_each_catalog_entry_is_the_catalog_one"
 
@@ -151,6 +156,21 @@ MUTANTS: tuple[Mutant, ...] = (
            "the digit walk's stride loop stops one stride early", (_STRIDE_EDGES,)),
     Mutant(_LINREP, "if lead:\n        x, y = _replay(", "if False:\n        x, y = _replay(",
            "the leading j % 8 digits not replayed", (_STRIDE_EDGES,)),
+    # the series product's Kronecker slots: width, pack and unpack
+    Mutant(_SERIES, "w = (bound.bit_length() + 8) // 8", "w = (bound.bit_length() + 7) // 8",
+           "a slot one bit short of the bound's sign bit when its bit length is a multiple of 8",
+           (_SLOT_EDGES, _SLOT_WIDTHS)),
+    Mutant(_SERIES, "return u - (((u >> (8 * w - 1)) & ones) << (8 * w))", "return u",
+           "the packed negative slots keep the 2^(8w) they borrowed from the slot above",
+           (_SLOT_EDGES, _SLOT_WIDTHS)),
+    Mutant(_SERIES, "slots[k::w] = wide[k::8]", "slots[k::w] = wide[k + 1::8]",
+           "the strided pack reads each slot's bytes one byte too high",
+           (_SLOT_EDGES, _SLOT_WIDTHS)),
+    Mutant(_SERIES, " ^ bias).to_bytes(", ").to_bytes(",
+           "the product's slots read with their bias left in", (_SLOT_EDGES, _SLOT_WIDTHS)),
+    Mutant(_SERIES, "for k in range(w, 8):", "for k in range(w + 1, 8):",
+           "the sign extension leaves the first byte above each slot zero",
+           (_SLOT_EDGES, _SLOT_WIDTHS)),
     # the value classes and the catalog lookup
     Mutant(_FROZEN, "value = hash(self._key(self))", "value = hash(self._key(self)[1:])",
            "the hash leaves out a field", (_F + "test_the_hash_is_the_tuple_of_compared_fields",)),
