@@ -1,5 +1,7 @@
 """The brute-force Thue-Morse block-counting oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,11 +19,32 @@ def test_prefix_examples():
         thue_morse_prefix(0)
 
 
+_MORPHISM = {0: b"\x00\x01", 1: b"\x01\x00"}
+
+
+def _per_letter_prefix(length):
+    """The first `length` letters, substituting one letter at a time."""
+    word = b"\x00"
+    while len(word) < length:
+        word = b"".join(_MORPHISM[letter] for letter in word)
+    return word[:length]
+
+
+def test_prefix_equals_the_per_letter_substitution():
+    # the reference's prefixes are prefixes of each other, so one long
+    # reference serves every length
+    reference = _per_letter_prefix(2**17 + 1)
+    for length in [*range(1, 4097), 2**17 - 1, 2**17 + 1]:
+        word = thue_morse_prefix(length)
+        assert type(word) is bytes and word == reference[:length], length
+
+
 def test_prefix_satisfies_doubling_relations():
-    word = thue_morse_prefix(4096)
-    for i in range(2047):
-        assert word[2 * i] == word[i]
-        assert word[2 * i + 1] == 1 - word[i]
+    word = thue_morse_prefix(2**17)
+    half = word[:2**16]
+    assert word[0] == 0
+    assert word[0::2] == half
+    assert word[1::2] == bytes(1 - letter for letter in half)
 
 
 def test_factor_complexity_examples():
@@ -82,6 +105,42 @@ def test_factor_counts_match_per_length_counts(case):
     word, ell_max = case
     assert factor_counts(word, ell_max) == tuple(
         factor_complexity(word, ell) for ell in range(1, ell_max + 1))
+
+
+def _edge_words(length):
+    """Words of `length` letters: a Thue-Morse prefix, a seeded random
+    ternary word, periodic words (most of their chunks repeat) and a
+    periodic word whose last letter breaks the period."""
+    rng = random.Random(length)
+    periodic = [bytes(rng.randrange(2) for _ in range(period)) * length
+                for period in (1, 2, 3, 5)]
+    return [thue_morse_prefix(length), bytes(rng.randrange(3) for _ in range(length)),
+            *(word[:length] for word in periodic), periodic[2][:length - 1] + b"\x02"]
+
+
+def _per_length_counts(word, ell_max):
+    return tuple(factor_complexity(word, ell) for ell in range(1, ell_max + 1))
+
+
+@pytest.mark.parametrize("length, ell_max", sorted({
+    # word lengths k*ell_max - 1, k*ell_max and k*ell_max + 1 end one letter
+    # short of, at, and one letter past a multiple of the chunk stride
+    *((k * ell_max + d, ell_max) for ell_max in (1, 2, 3, 5, 8, 16) for k in (1, 2, 3, 6)
+      for d in (-1, 0, 1) if k * ell_max + d >= ell_max),
+    # the extreme lengths: one letter, the whole word, just above half of it
+    *((length, ell_max) for length in range(1, 41)
+      for ell_max in (1, length, length // 2 + 1))}))
+def test_factor_counts_at_chunk_edges(length, ell_max):
+    for word in _edge_words(length):
+        assert factor_counts(word, ell_max) == _per_length_counts(word, ell_max), word
+
+
+def test_factor_counts_on_a_thue_morse_prefix_of_2_to_14_letters():
+    word = thue_morse_prefix(2**14)
+    counts = factor_counts(word, 64)
+    assert counts == _per_length_counts(word, 64)
+    assert counts[:8] == (2, 4, 6, 10, 12, 16, 20, 22)
+    assert counts[-1] == 190
 
 
 @pytest.mark.parametrize("ell_max", [-1, 0, 4])

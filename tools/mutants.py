@@ -1,15 +1,17 @@
 """Mutation check of the certificate and the scan in `sternlike.identities`,
 of the prefix bound and the descent's stride step in `sternlike.recurrence`,
 of the digit walk in `sternlike.linrep`, of the Kronecker slots in
-`sternlike.series`, and of the value classes' equality and hash in
+`sternlike.series`, of the substitution and the chunked window pass in
+`sternlike.tm_oracle`, and of the value classes' equality and hash in
 `sternlike._frozen`.
 
 Each mutant is one small edit of the source, the kind of slip that would let
 the certificate claim "holds for all n" or "for all e" when it does not, or
 refuse what it should prove, let the scan skip an instance, let a prefix
 grow a round or more past the largest index read, let a series product
-read a wrong coefficient from its slots, or let two different values
-compare or hash alike.  The check applies each mutant alone to a copy
+read a wrong coefficient from its slots, let the Thue-Morse oracle build a
+wrong word or miss a window, or let two different values compare or hash
+alike.  The check applies each mutant alone to a copy
 of the repository and runs only the tests listed for it; a mutant that those
 tests do not kill survives.
 
@@ -50,6 +52,7 @@ _RECURRENCE = "src/sternlike/recurrence.py"
 _FROZEN = "src/sternlike/_frozen.py"
 _LINREP = "src/sternlike/linrep.py"
 _SERIES = "src/sternlike/series.py"
+_TM = "src/sternlike/tm_oracle.py"
 _T = "tests/test_identities.py::"
 _LEVELS = _T + "test_levels_certificates_prove_or_refuse_identities_without_n"
 _DRAWN_LEVELS = _T + "test_level_certificates_match_the_reference_scan"
@@ -68,6 +71,11 @@ _STRIDE_EDGES = "tests/test_recurrence.py::test_evaluate_equals_descent_around_t
 _COEFF_AT = "tests/test_recurrence.py::test_coeff_at_equals_a_one_digit_descent"
 _SLOT_WIDTHS = "tests/test_series.py::test_mul_matches_schoolbook_at_every_slot_width"
 _SLOT_EDGES = "tests/test_series.py::test_mul_matches_schoolbook_at_pinned_slot_edges"
+_TMT = "tests/test_tm_oracle.py::"
+_PER_LETTER = _TMT + "test_prefix_equals_the_per_letter_substitution"
+_DOUBLING = _TMT + "test_prefix_satisfies_doubling_relations"
+_CHUNK_EDGES = _TMT + "test_factor_counts_at_chunk_edges"
+_TM_2_14 = _TMT + "test_factor_counts_on_a_thue_morse_prefix_of_2_to_14_letters"
 _F = "tests/test_frozen.py::"
 _ENTRIES = "tests/test_lazy_imports.py::test_each_catalog_entry_is_the_catalog_one"
 
@@ -171,6 +179,19 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(_SERIES, "for k in range(w, 8):", "for k in range(w + 1, 8):",
            "the sign extension leaves the first byte above each slot zero",
            (_SLOT_EDGES, _SLOT_WIDTHS)),
+    # the Thue-Morse oracle: the substitution and the windows read from chunks
+    Mutant(_TM, "word += word.translate(_FLIP)", "word += word",
+           "the second half copied without its complement", (_PER_LETTER, _DOUBLING)),
+    Mutant(_TM, "range(0, len(word), ell_max)", "range(0, len(word), ell_max + 1)",
+           "the chunks one letter too far apart, so a window in each gap is missed",
+           (_CHUNK_EDGES,)),
+    Mutant(_TM, "2 * ell_max - 1", "2 * ell_max - 2",
+           "a chunk one letter short, so its last window is cut", (_CHUNK_EDGES, _TM_2_14)),
+    Mutant(_TM, "min(ell_max, len(c))", "min(ell_max - 1, len(c))",
+           "the last offset of each chunk left out", (_CHUNK_EDGES, _TM_2_14)),
+    Mutant(_TM, "len(w) >= ell", "len(w) > ell",
+           "the windows exactly ell long left out of the length-ell count",
+           (_CHUNK_EDGES, _TM_2_14)),
     # the value classes and the catalog lookup
     Mutant(_FROZEN, "value = hash(self._key(self))", "value = hash(self._key(self)[1:])",
            "the hash leaves out a field", (_F + "test_the_hash_is_the_tuple_of_compared_fields",)),
